@@ -7,7 +7,6 @@ from .approx import (
     RdCost,
     approximate_contour,
     approximate_segment,
-    interview_row_distortion,
     merge_segments,
 )
 from .augment import (

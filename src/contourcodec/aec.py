@@ -176,6 +176,28 @@ def relative_bits(recent_dirs: tuple, params: AecParams) -> tuple:
     return tuple(-math.log2(p) for p in relative_distribution(recent_dirs, params))
 
 
+class _BitsTable(dict):
+    """Bits of each absolute next direction, keyed by direction window; a
+    window's entry is filled from :func:`relative_bits` on first use."""
+
+    def __init__(self, params: AecParams):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, recent_dirs: tuple) -> dict:
+        last = recent_dirs[-1]
+        bits = relative_bits(recent_dirs, self.params)
+        entry = self[recent_dirs] = {turn(last, rel): b for rel, b in zip("lsr", bits)}
+        return entry
+
+
+@lru_cache(maxsize=None)
+def bits_table(params: AecParams) -> dict:
+    """The lazily filled ``{window: {next direction: bits}}`` table of one
+    parameter set, shared by every caller."""
+    return _BitsTable(params)
+
+
 def _quantize(probs) -> tuple:
     freqs = [max(1, round(p * _FREQ_TOTAL)) for p in probs]
     freqs[freqs.index(max(freqs))] += _FREQ_TOTAL - sum(freqs)

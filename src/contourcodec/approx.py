@@ -10,9 +10,13 @@ re-optimizing the pair inside their joint rectangle, plus the distortion of
 projecting out-of-rectangle original edges onto it, beats the pair's summed
 cost.
 
-Rate terms reuse the coder's cached context distributions, so what the DP
-minimizes is exactly what the arithmetic coder will spend (up to the uniform
+Rate terms are read from the coder's per-``AecParams`` bits table, which is
+filled from the same context distributions the arithmetic coder uses, so what
+the DP minimizes is exactly what the coder will spend (up to the uniform
 early-context positions, which cost the same for every candidate).
+Distortion terms come from one row proxy per contour (``swim.RowProxy``),
+which converts the image to luminance once and memoizes Laplace scales and
+row distortions while the contour is approximated.
 """
 
 from __future__ import annotations
@@ -22,19 +26,19 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .aec import LOG2_3, AecParams, estimate_rate, relative_bits
+from .aec import LOG2_3, AecParams, bits_table, estimate_rate
 from .contour import (
+    DIR_VECTOR,
     OPPOSITE,
     Contour,
     Segment,
     join_segments,
-    relative_between,
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
     step,
 )
-from .swim import SwimConfig, luminance, row_distortion, window_anchor
+from .swim import RowProxy, SwimConfig, row_distortion, row_proxy, window_anchor
 
 logger = logging.getLogger(__name__)
 
@@ -65,27 +69,25 @@ class RdCost:
     total: float  # distortion + lambda * rate
 
 
-def interview_row_distortion(image, row, window_start, q_orig, q_new, cfg: SwimConfig, weight: float) -> float:
-    """Row distortion plus the inter-view consistency penalty weight*|shift|^2."""
-    return row_distortion(image, row, window_start, q_orig, q_new, cfg) + weight * (q_new - q_orig) ** 2
-
-
-def _edge_bits(recent, edges_before: int, next_dir: str, params: AecParams) -> float:
+def _early_bits(edges_before: int, context_len: int):
+    """Bits of an edge coded before a full context window exists (the same for
+    every direction), or None once the context model applies."""
     if edges_before == 0:
         return 2.0
-    if edges_before < params.context_len:
+    if edges_before < context_len:
         return LOG2_3
-    rel = relative_between(recent[-1], next_dir)
-    return relative_bits(recent, params)["lsr".index(rel)]
+    return None
 
 
 class _RowCosts:
-    """Lazy (row, column) table of shifted-edge distortions for one segment."""
+    """Shifted-edge costs on one view: row distortion plus the inter-view
+    penalty weight*shift^2, memoized by (row, column) for one segment's
+    vertical edges."""
 
-    def __init__(self, lum, vertical_columns, cfg: ApproxConfig, penalty_weight: float):
-        self._lum = lum
+    def __init__(self, proxy: RowProxy, vertical_columns, cfg: ApproxConfig, penalty_weight: float):
+        self._proxy = proxy
         self._cols = vertical_columns
-        self._cfg = cfg
+        self._swim = cfg.swim
         self._weight = penalty_weight
         self._memo = {}
 
@@ -93,12 +95,16 @@ class _RowCosts:
         key = (row, q)
         value = self._memo.get(key)
         if value is None:
-            q_orig = self._cols[row]
-            anchor = window_anchor(q_orig, self._lum.shape[1], self._cfg.swim.block)
-            value = row_distortion(self._lum, row, anchor, q_orig, q, self._cfg.swim)
-            if self._weight:
-                value += self._weight * (q - q_orig) ** 2
-            self._memo[key] = value
+            value = self._memo[key] = self.shift_cost(row, self._cols[row], q)
+        return value
+
+    def shift_cost(self, row: int, q_orig: int, q: int) -> float:
+        """Cost of moving the edge in ``row`` from ``q_orig`` to ``q``, outside
+        this table's memo (merging prices projected edges with it)."""
+        anchor = window_anchor(q_orig, self._proxy.lum.shape[1], self._swim.block)
+        value = row_distortion(self._proxy, row, anchor, q_orig, q, self._swim)
+        if self._weight:
+            value += self._weight * (q - q_orig) ** 2
         return value
 
 
@@ -109,17 +115,19 @@ def _crossed_rows(seg: Segment):
 
 
 def row_cost_table(color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0) -> "_RowCosts":
-    """Shareable lazy table of shifted-edge distortions (one per segment)."""
-    return _RowCosts(luminance(color), vertical_columns, cfg, penalty_weight)
+    """Shareable lazy table of shifted-edge costs (one per segment); ``color``
+    is an image or a row proxy of it."""
+    return _RowCosts(row_proxy(color, cfg.swim), vertical_columns, cfg, penalty_weight)
 
 
 def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
     """Cost of one explicit candidate path, accumulated edge by edge in the
-    same order the DP uses (so totals are bit-comparable)."""
-    lum = luminance(color)
+    same order the DP uses (so totals are bit-comparable).  Raises ValueError
+    when an edge coded with a full context window doubles back."""
     k = cfg.aec.context_len
     if rows is None:
-        rows = _RowCosts(lum, vertical_columns, cfg, penalty_weight)
+        rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+    table = bits_table(cfg.aec)
     recent = tuple(prior_dirs)[-k:]
     dir_v = seg.dirpair[0]
     p, q = seg.start
@@ -127,7 +135,11 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     rate = 0.0
     dist = 0.0
     for t, d in enumerate(dirs, 1):
-        bits = _edge_bits(recent, prior_count + t - 1, d, cfg.aec)
+        bits = _early_bits(prior_count + t - 1, k)
+        if bits is None:
+            bits = table[recent].get(d)
+            if bits is None:
+                raise ValueError("path doubles back")
         total += cfg.lagrange * bits
         rate += bits
         if d == dir_v:
@@ -149,10 +161,11 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     crossed by the original segment's vertical edges to the edge column.
     ``forbidden_last`` excludes paths ending in that direction, so the next
     segment of the contour can never be forced into a 180-degree turn.
+    ``color`` is the view's color image or a ``swim.RowProxy`` of it; callers
+    that approximate several segments of one image share one proxy.
 
     Returns (approximated Segment, RdCost).
     """
-    lum = luminance(color)
     k = cfg.aec.context_len
     prior = tuple(prior_dirs)[-k:]
     if prior_count is None:
@@ -165,32 +178,43 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
 
     dir_v, dir_h = seg.dirpair
     p_end, q_end = segment_endpoint(seg)
-    rows = _RowCosts(lum, vertical_columns, cfg, penalty_weight)
+    rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+    row_cost = rows.cost
+    table = bits_table(cfg.aec)
+    lagrange = cfg.lagrange
+    opp_v, opp_h = OPPOSITE[dir_v], OPPOSITE[dir_h]
+    dp_v = DIR_VECTOR[dir_v][0]
+    dq_h = DIR_VECTOR[dir_h][1]
+    row_offset = 0 if dir_v == "S" else -1  # pixel row of a vertical edge leaving (p, q)
 
     layer = {(prior, seg.start[0], seg.start[1]): 0.0}
     parents = []
     for t in range(1, seg.length + 1):
         nxt = {}
         par = {}
-        edges_before = prior_count + t - 1
-        for (recent, p, q), cost in layer.items():
-            for d in (dir_v, dir_h):  # vertical evaluated first (tie preference)
-                if d == dir_v:
-                    if p == p_end:
-                        continue
-                else:
-                    if q == q_end:
-                        continue
-                if recent and OPPOSITE[recent[-1]] == d:
-                    continue
-                c = cost + cfg.lagrange * _edge_bits(recent, edges_before, d, cfg.aec)
-                if d == dir_v:
-                    c += rows.cost(p if d == "S" else p - 1, q)
-                np_, nq_ = step((p, q), d)
-                state = ((recent + (d,))[-k:], np_, nq_)
-                if state not in nxt or c < nxt[state]:
-                    nxt[state] = c
-                    par[state] = ((recent, p, q), d)
+        early = _early_bits(prior_count + t - 1, k)
+        for state, cost in layer.items():
+            recent, p, q = state
+            last = recent[-1] if recent else None
+            # vertical evaluated first (tie preference); a move into an
+            # occupied state must be strictly cheaper to replace it
+            if p != p_end and last != opp_v:
+                bits = table[recent][dir_v] if early is None else early
+                c = cost + lagrange * bits
+                c += row_cost(p + row_offset, q)
+                new = ((recent + (dir_v,))[-k:], p + dp_v, q)
+                old = nxt.get(new)
+                if old is None or c < old:
+                    nxt[new] = c
+                    par[new] = (state, dir_v)
+            if q != q_end and last != opp_h:
+                bits = table[recent][dir_h] if early is None else early
+                c = cost + lagrange * bits
+                new = ((recent + (dir_h,))[-k:], p, q + dq_h)
+                old = nxt.get(new)
+                if old is None or c < old:
+                    nxt[new] = c
+                    par[new] = (state, dir_h)
         if not nxt:
             raise ValueError("unreachable endpoint: malformed segment")
         layer = nxt
@@ -208,7 +232,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, prior_count, lum, vertical_columns, cfg, penalty_weight)
+        original = segment_path_cost(seg, seg.dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -218,7 +242,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         dirs.append(d)
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, prior_count, lum, vertical_columns, cfg, penalty_weight)
+    cost = segment_path_cost(result, dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
     return result, cost
 
 
@@ -291,34 +315,32 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     merge strictly lowers the summed cost, else None.  When per-segment costs
     are not supplied they are computed here with the same configuration.
     """
-    lum = luminance(color)
+    proxy = row_proxy(color, cfg.swim)
     k = cfg.aec.context_len
     prior = tuple(prior_dirs)[-k:]
     if prior_count is None:
         prior_count = len(prior)
     if cost_a is None or cost_b is None:
         a_seg, cost_a = approximate_segment(
-            a, prior, lum, segment_vertical_columns(a), cfg,
+            a, prior, proxy, segment_vertical_columns(a), cfg,
             prior_count=prior_count, penalty_weight=penalty_weight,
             forbidden_last=OPPOSITE[b.dirs[0]],
         )
         prior_b = (prior + tuple(a_seg.dirs))[-k:]
-        _, cost_b = approximate_segment(b, prior_b, lum, segment_vertical_columns(b), cfg, prior_count=prior_count + a.length, penalty_weight=penalty_weight)
+        _, cost_b = approximate_segment(b, prior_b, proxy, segment_vertical_columns(b), cfg, prior_count=prior_count + a.length, penalty_weight=penalty_weight)
 
     projected = project_onto_rectangle(a, b)
     if projected is None:
         return None
+    shifted = _RowCosts(proxy, {}, cfg, penalty_weight)
     merge_d = 0.0
     for row, q_orig, q_proj in projection_shifts(a, b):
-        anchor = window_anchor(q_orig, lum.shape[1], cfg.swim.block)
-        merge_d += row_distortion(lum, row, anchor, q_orig, q_proj, cfg.swim)
-        if penalty_weight:
-            merge_d += penalty_weight * (q_proj - q_orig) ** 2
+        merge_d += shifted.shift_cost(row, q_orig, q_proj)
     if math.isinf(merge_d):
         return None
     try:
         mseg, mcost = approximate_segment(
-            projected, prior, lum, segment_vertical_columns(projected), cfg,
+            projected, prior, proxy, segment_vertical_columns(projected), cfg,
             prior_count=prior_count, penalty_weight=penalty_weight,
             forbidden_last=None if next_dir is None else OPPOSITE[next_dir],
         )
@@ -372,7 +394,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
         for p, q in contour.points():
             if not (0 <= p <= h and 0 <= q <= w):
                 raise ValueError("contour leaves the depth image lattice")
-    lum = luminance(color)
+    proxy = RowProxy(color, cfg.swim)
     k = cfg.aec.context_len
     slots = []
     recent = ()
@@ -384,7 +406,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
         # window); the original seam direction always leaves a finite path
         forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
         approx, cost = approximate_segment(
-            seg, recent, lum, segment_vertical_columns(seg), cfg,
+            seg, recent, proxy, segment_vertical_columns(seg), cfg,
             prior_count=count, penalty_weight=penalty_weight, forbidden_last=forbidden,
         )
         slots.append([seg, approx, cost])
@@ -400,7 +422,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
                 prior, pcount = _prefix_context(slots, i, k)
                 nd = slots[i + 2][1].dirs[0] if i + 2 < len(slots) else None
                 res = merge_segments(
-                    slots[i][0], slots[i + 1][0], prior, lum, cfg,
+                    slots[i][0], slots[i + 1][0], prior, proxy, cfg,
                     prior_count=pcount, cost_a=slots[i][2], cost_b=slots[i + 1][2],
                     next_dir=nd, penalty_weight=penalty_weight,
                 )

@@ -172,7 +172,7 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
         except Exception as exc:  # noqa: BLE001 - a bad lambda must not kill the batch
             print(f"lambda={lam:g} failed: {exc}", file=sys.stderr)
             nan = float("nan")
-            lines.append(f"{lam:g},0,{nan},{nan},{nan},{nan}," + ",".join("0.000" for _ in range(4)))
+            lines.append(f"{lam:g},{nan},{nan},{nan},{nan},{nan}," + ",".join("0.000" for _ in range(4)))
     return "\n".join(lines) + "\n"
 
 

@@ -186,29 +186,69 @@ def window_anchor(q: int, width: int, block: int) -> int:
     return max(0, min((q // block) * block, width - block))
 
 
+class RowProxy:
+    """Row-distortion proxy of one image under one SwimConfig.
+
+    The image is converted to luminance once; Laplace scales are memoized by
+    (row, window start) and distortions by (row, window start, shift).  The
+    proxy is valid only while the image does not change: build a new one
+    after editing the image.
+    """
+
+    def __init__(self, image, cfg: SwimConfig):
+        self.lum = luminance(image)
+        self.cfg = cfg
+        self._scales = {}
+        self._distortions = {}
+
+    def _scale(self, row: int, start: int) -> float:
+        key = (row, start)
+        scale = self._scales.get(key)
+        if scale is None:
+            scale = self._scales[key] = laplace_fit(haar_row(self.lum[row, start : start + self.cfg.block]))
+        return scale
+
+    def distortion(self, row: int, window_start: int, shift: int) -> float:
+        """Distortion of shifting the edge by ``shift`` columns; the
+        comparison window starts at ``window_start - shift``."""
+        key = (row, window_start, shift)
+        value = self._distortions.get(key)
+        if value is None:
+            h, w = self.lum.shape
+            n = self.cfg.block
+            if not 0 <= row < h:
+                raise ValueError("row out of image")
+            if window_start < 0 or window_start + n > w:
+                raise ValueError("window out of image")
+            shifted = window_start - shift
+            if abs(shift) > self.cfg.window or shifted < 0 or shifted + n > w:
+                value = math.inf
+            else:
+                value = laplace_ks(self._scale(row, window_start), self._scale(row, shifted))
+            self._distortions[key] = value
+        return value
+
+
+def row_proxy(image, cfg: SwimConfig) -> RowProxy:
+    """``image`` itself when it already is a proxy for ``cfg``, else a new
+    proxy of it."""
+    if not isinstance(image, RowProxy):
+        return RowProxy(image, cfg)
+    if image.cfg is not cfg and image.cfg != cfg:
+        raise ValueError("row proxy was built for a different SwimConfig")
+    return image
+
+
 def row_distortion(image, row: int, window_start: int, q_orig: int, q_new: int, cfg: SwimConfig) -> float:
     """Proxy distortion of horizontally shifting a vertical edge in one row.
 
     The original window starts at ``window_start``; the comparison window is
     shifted by the negated edge shift.  Shifts beyond the match window, or
-    comparison windows that would leave the image, give +inf.
+    comparison windows that would leave the image, give +inf.  ``image`` is
+    an image or a :class:`RowProxy` of one, which serves repeated calls from
+    its memo.
     """
-    lum = luminance(image)
-    h, w = lum.shape
-    n = cfg.block
-    if not 0 <= row < h:
-        raise ValueError("row out of image")
-    if window_start < 0 or window_start + n > w:
-        raise ValueError("window out of image")
-    k = q_new - q_orig
-    if abs(k) > cfg.window:
-        return math.inf
-    shifted = window_start - k
-    if shifted < 0 or shifted + n > w:
-        return math.inf
-    u = lum[row, window_start : window_start + n]
-    v = lum[row, shifted : shifted + n]
-    return laplace_ks(laplace_fit(haar_row(u)), laplace_fit(haar_row(v)))
+    return row_proxy(image, cfg).distortion(row, window_start, q_new - q_orig)
 
 
 def block_proxy(row_distortions) -> float:

@@ -10,7 +10,6 @@ from contourcodec.approx import (
     ApproxConfig,
     approximate_contour,
     approximate_segment,
-    interview_row_distortion,
     merge_segments,
     project_onto_rectangle,
     projection_shifts,
@@ -246,25 +245,38 @@ class TestApproximateContour:
         assert len(left_cols) == 1 and len(right_cols) == 1
 
 
+class TestSegmentPathCost:
+    def test_doubling_back_on_prior_raises(self, rng):
+        # merge_segments relies on the ValueError to reject such a candidate
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 24), ("S", "W"), "WS")
+        cols = segment_vertical_columns(seg)
+        with pytest.raises(ValueError, match="doubles back"):
+            segment_path_cost(seg, seg.dirs, ("S", "E", "E"), 3, color, cols, small_cfg(1.0))
+
+
 class TestInterviewPenalty:
+    """The one shifted-edge cost the DP and merging use: row distortion plus
+    the squared-shift penalty."""
+
+    CFG = ApproxConfig(swim=SwimConfig())
+
     def test_zero_weight_equals_base(self, rng):
         img = textured_color(rng, 24, 64)
-        cfg = SwimConfig()
+        rows = row_cost_table(img, {5: 20}, self.CFG, 0.0)
         for k in (-3, 0, 2):
-            assert interview_row_distortion(img, 5, 16, 20, 20 + k, cfg, 0.0) == row_distortion(
-                img, 5, 16, 20, 20 + k, cfg
-            )
+            assert rows.cost(5, 20 + k) == row_distortion(img, 5, 16, 20, 20 + k, self.CFG.swim)
 
     def test_zero_shift_unpenalized(self, rng):
         img = textured_color(rng, 24, 64)
-        assert interview_row_distortion(img, 5, 16, 20, 20, SwimConfig(), 1e6) == 0.0
+        assert row_cost_table(img, {5: 20}, self.CFG, 1e6).cost(5, 20) == 0.0
 
     def test_huge_weight_prefers_zero_shift(self, rng):
         img = textured_color(rng, 24, 64)
-        cfg = SwimConfig()
-        at_zero = interview_row_distortion(img, 5, 16, 20, 20, cfg, 1e6)
-        at_one = interview_row_distortion(img, 5, 16, 20, 21, cfg, 1e6)
-        assert at_zero < at_one
+        base = row_cost_table(img, {5: 20}, self.CFG, 0.0)
+        rows = row_cost_table(img, {5: 20}, self.CFG, 1e6)
+        assert rows.cost(5, 21) == base.cost(5, 21) + 1e6  # a one-pixel shift adds exactly the weight
+        assert rows.cost(5, 20) < rows.cost(5, 21)
 
     def test_segment_stays_put_under_penalty(self, rng):
         color = textured_color(rng, 40, 48)

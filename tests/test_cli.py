@@ -1,8 +1,11 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from contourcodec.aec import AecParams
-from contourcodec.cli import CSV_HEADER, main, psnr
+from contourcodec.cli import CSV_HEADER, main, psnr, run_sweep
 from contourcodec.config import PipelineConfig, parse_config
 from contourcodec.contour import parse_contours
 from contourcodec.image_io import (
@@ -11,6 +14,7 @@ from contourcodec.image_io import (
     SceneSpec,
     format_scene_spec,
     load_color,
+    make_synthetic_scene,
     save_color,
     save_depth,
 )
@@ -174,6 +178,34 @@ def test_sweep_failed_lambda_keeps_other_rows(tmp_path, monkeypatch, capsys):
     assert bad[0] == "4" and bad[3] == "nan"
     good = lines[3].split(",")
     assert int(good[1]) > 0  # the later lambda still produced a real row
+
+
+def test_sweep_failed_row_reports_nan_bits(monkeypatch):
+    import contourcodec.cli as cli_mod
+
+    def broken(left, right, cfg, **kwargs):
+        raise RuntimeError("synthetic stage failure")
+
+    monkeypatch.setattr(cli_mod, "approximate_stereo", broken)
+    spec = SceneSpec(width=64, height=64, shapes=1, jitter=1, min_size=16, max_size=16, margin=24)
+    left, right = make_synthetic_scene(1, spec)
+    lines = run_sweep(left, right, PipelineConfig(), (4.0,), spec.value_scale, timing=False).splitlines()
+    assert lines[1].split(",")[:2] == ["4", "nan"]  # no rate was measured, so none is reported
+
+
+README_SWEEP = Path(__file__).with_name("data") / "sweep_readme.csv"
+
+
+def test_sweep_matches_readme_golden_csv():
+    """The README sweep (128x96, jitter 2, noise texture, seed 2, lambdas
+    0,2,8) must reproduce the checked-in CSV byte for byte, not merely the
+    same CSV on every rerun."""
+    expected = README_SWEEP.read_bytes()
+    assert hashlib.sha256(expected).hexdigest().startswith("70a9f86fd4fc")
+    spec = SceneSpec(width=128, height=96, jitter=2, texture="noise")
+    left, right = make_synthetic_scene(2, spec)
+    csv = run_sweep(left, right, PipelineConfig(seed=2), (0.0, 2.0, 8.0), spec.value_scale, timing=False)
+    assert csv.encode() == expected
 
 
 def test_psnr_cap_and_symmetry(rng):
