@@ -27,7 +27,6 @@ from .contour import (
     parse_contours,
     segment_endpoint,
     split_segments,
-    to_absolute,
     to_relative,
 )
 from .image_io import (
@@ -47,7 +46,6 @@ from .swim import (
     SwimConfig,
     best_match,
     block_distortion,
-    block_proxy,
     haar_row,
     laplace_fit,
     laplace_ks,

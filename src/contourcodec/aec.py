@@ -8,11 +8,15 @@ distance from the candidate edge's end point to the line.  Normalizing over
 the three relative symbols cancels the von-Mises constant.
 
 The first edge of a contour is uniform over the four absolute directions
-(2 bits) and is carried in the bitstream header; edges whose preceding
-window is shorter than the context length are uniform over the three
-relative symbols.  Rate estimation, encoding and decoding all share one
-cached context-conditional distribution, so the entropy estimate and the
-coder are synchronized by construction.
+(2 bits) and is carried in the bitstream header; edges coded before the
+context window is full are uniform over the three relative symbols
+(:func:`early_bits` is that rule).  Every later edge is coded from the
+context model of its parameter set (:func:`context_model`): one lazily
+filled table keyed by the window of recent absolute directions, whose entry
+holds both the bits of each allowed next direction and the quantized
+cumulative frequencies of the range coder.  Rate estimation, the contour DP,
+encoding and decoding all read that one table, so the rate the DP minimizes
+is the rate the coder spends.
 
 Bitstream layout (all integers big-endian):
 magic "AEC1" | u16 contour count | per contour: u16 p, u16 q,
@@ -27,6 +31,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .contour import ABSOLUTE, DIR_VECTOR, Contour, step, turn
 
@@ -160,42 +165,16 @@ def context_points(head, recent_dirs):
     return pts
 
 
-@lru_cache(maxsize=None)
-def relative_distribution(recent_dirs: tuple, params: AecParams) -> tuple:
-    """Cached (l, s, r) probabilities for a full context window.
-
-    The model is translation invariant, so the distribution depends only on
-    the direction sequence; the head is fixed at the origin.
-    """
-    probs = edge_probabilities(context_points((0, 0), recent_dirs), recent_dirs[-1], params)
-    return (probs["l"], probs["s"], probs["r"])
-
-
-@lru_cache(maxsize=None)
-def relative_bits(recent_dirs: tuple, params: AecParams) -> tuple:
-    return tuple(-math.log2(p) for p in relative_distribution(recent_dirs, params))
-
-
-class _BitsTable(dict):
-    """Bits of each absolute next direction, keyed by direction window; a
-    window's entry is filled from :func:`relative_bits` on first use."""
-
-    def __init__(self, params: AecParams):
-        super().__init__()
-        self.params = params
-
-    def __missing__(self, recent_dirs: tuple) -> dict:
-        last = recent_dirs[-1]
-        bits = relative_bits(recent_dirs, self.params)
-        entry = self[recent_dirs] = {turn(last, rel): b for rel, b in zip("lsr", bits)}
-        return entry
-
-
-@lru_cache(maxsize=None)
-def bits_table(params: AecParams) -> dict:
-    """The lazily filled ``{window: {next direction: bits}}`` table of one
-    parameter set, shared by every caller."""
-    return _BitsTable(params)
+def early_bits(coded: int, context_len: int) -> float | None:
+    """Bits of the edge coded after ``coded`` edges of a contour while no full
+    context window exists (the same for every direction): 2 for the first
+    edge, log2(3) until ``context_len`` edges are coded.  None once the
+    context model applies."""
+    if coded == 0:
+        return 2.0
+    if coded < context_len:
+        return LOG2_3
+    return None
 
 
 def _quantize(probs) -> tuple:
@@ -206,30 +185,53 @@ def _quantize(probs) -> tuple:
     return tuple(freqs)
 
 
-_UNIFORM3_FREQS = _quantize((1.0 / 3.0,) * 3)
+class ContextModel(dict):
+    """The context model of one parameter set: ``{window: (bits, cum)}``,
+    each entry computed on first use.
+
+    A window is the tuple of the most recent absolute directions.  ``bits``
+    maps each allowed next absolute direction, in l, s, r order, to
+    ``-log2`` of its probability; ``cum`` holds the range coder's cumulative
+    frequency bounds ``(0, l, l + s, total)``.  ``early_cum`` are the bounds
+    of the uniform early positions.  The model is translation invariant, so
+    an entry fits the window's polyline with its head at the origin.
+    """
+
+    def __init__(self, params: AecParams):
+        super().__init__()
+        self.params = params
+        self.early_cum = tuple(accumulate(_quantize((1.0 / 3.0,) * 3), initial=0))
+
+    def __missing__(self, window: tuple) -> tuple:
+        last = window[-1]
+        probs = edge_probabilities(context_points((0, 0), window), last, self.params)
+        bits = {turn(last, rel): -math.log2(probs[rel]) for rel in "lsr"}
+        cum = tuple(accumulate(_quantize([probs[rel] for rel in "lsr"]), initial=0))
+        entry = self[window] = (bits, cum)
+        return entry
 
 
 @lru_cache(maxsize=None)
-def relative_freqs(recent_dirs: tuple, params: AecParams) -> tuple:
-    return _quantize(relative_distribution(recent_dirs, params))
+def context_model(params: AecParams) -> ContextModel:
+    """The one context model of ``params``, shared by every caller."""
+    return ContextModel(params)
 
 
 def estimate_rate(contour: Contour, params: AecParams) -> float:
     """Entropy estimate in bits of coding one contour, context evolved in place.
 
-    The first edge costs exactly 2 bits (uniform over four absolute
-    directions); later edges cost log2(3) until a full context window exists,
-    then the geometric model applies.
+    The first edges cost what :func:`early_bits` says; once a full context
+    window exists the geometric model applies.
     """
     k = params.context_len
-    bits = 2.0
+    model = context_model(params)
+    bits = early_bits(0, k)
     recent = (contour.first,)
-    for rel in contour.rest:
-        if len(recent) < k:
-            bits += LOG2_3
-        else:
-            bits += relative_bits(recent, params)["lsr".index(rel)]
-        recent = (recent + (turn(recent[-1], rel),))[-k:]
+    for coded, rel in enumerate(contour.rest, 1):
+        d = turn(recent[-1], rel)
+        early = early_bits(coded, k)
+        bits += model[recent][0][d] if early is None else early
+        recent = (recent + (d,))[-k:]
     return bits
 
 
@@ -285,19 +287,19 @@ class RangeDecoder:
         self._pos += 1
         return b
 
-    def decode(self, freqs, total: int) -> int:
+    def decode(self, cum, total: int) -> int:
+        """Decode one symbol of cumulative frequency bounds ``cum``."""
         r = self._range // total
         t = min(self._diff // r, total - 1)
         sym = 0
-        cum = 0
-        while cum + freqs[sym] <= t:
-            cum += freqs[sym]
+        while cum[sym + 1] <= t:
             sym += 1
-        self._diff -= r * cum
-        if cum + freqs[sym] == total:
-            self._range -= r * cum
+        lo, hi = cum[sym], cum[sym + 1]
+        self._diff -= r * lo
+        if hi == total:
+            self._range -= r * lo
         else:
-            self._range = r * freqs[sym]
+            self._range = r * (hi - lo)
         while self._range < _TOP:
             self._diff = (self._diff << 8) | self._next_byte()
             self._range <<= 8
@@ -321,13 +323,14 @@ def encode(contours, params: AecParams) -> bytes:
             raise ValueError("contour start outside u16 range")
         out += _HEADER.pack(p, q, ABSOLUTE.index(c.first), len(c.rest))
     k = params.context_len
+    model = context_model(params)
     enc = RangeEncoder()
     for c in contours:
         recent = (c.first,)
-        for rel in c.rest:
-            freqs = _UNIFORM3_FREQS if len(recent) < k else relative_freqs(recent, params)
+        for coded, rel in enumerate(c.rest, 1):
+            cum = model[recent][1] if early_bits(coded, k) is None else model.early_cum
             sym = "lsr".index(rel)
-            enc.encode(sum(freqs[:sym]), sum(freqs[: sym + 1]), _FREQ_TOTAL)
+            enc.encode(cum[sym], cum[sym + 1], _FREQ_TOTAL)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
     out += enc.finish()
     out.append(0)
@@ -354,14 +357,15 @@ def decode(data: bytes, params: AecParams):
     if data[-1] != 0:
         raise BitstreamError("truncated stream")
     k = params.context_len
+    model = context_model(params)
     dec = RangeDecoder(data[off:-1])
     contours = []
     for start, first, nsyms in headers:
         recent = (first,)
         rest = []
-        for _ in range(nsyms):
-            freqs = _UNIFORM3_FREQS if len(recent) < k else relative_freqs(recent, params)
-            rel = "lsr"[dec.decode(freqs, _FREQ_TOTAL)]
+        for coded in range(1, nsyms + 1):
+            cum = model[recent][1] if early_bits(coded, k) is None else model.early_cum
+            rel = "lsr"[dec.decode(cum, _FREQ_TOTAL)]
             rest.append(rel)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
         contour = Contour(start, first, "".join(rest))

@@ -10,10 +10,9 @@ re-optimizing the pair inside their joint rectangle, plus the distortion of
 projecting out-of-rectangle original edges onto it, beats the pair's summed
 cost.
 
-Rate terms are read from the coder's per-``AecParams`` bits table, which is
-filled from the same context distributions the arithmetic coder uses, so what
-the DP minimizes is exactly what the coder will spend (up to the uniform
-early-context positions, which cost the same for every candidate).
+Rate terms are read from the coder's own context model
+(``aec.context_model``) and early-context rule (``aec.early_bits``), so what
+the DP minimizes is exactly what the coder will spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
 which converts the image to luminance once and memoizes Laplace scales and
 row distortions while the contour is approximated.
@@ -26,7 +25,7 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .aec import LOG2_3, AecParams, bits_table, estimate_rate
+from .aec import AecParams, context_model, early_bits, estimate_rate
 from .contour import (
     DIR_VECTOR,
     OPPOSITE,
@@ -67,16 +66,6 @@ class RdCost:
     distortion: float
     rate: float  # bits
     total: float  # distortion + lambda * rate
-
-
-def _early_bits(edges_before: int, context_len: int):
-    """Bits of an edge coded before a full context window exists (the same for
-    every direction), or None once the context model applies."""
-    if edges_before == 0:
-        return 2.0
-    if edges_before < context_len:
-        return LOG2_3
-    return None
 
 
 class _RowCosts:
@@ -127,7 +116,7 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     k = cfg.aec.context_len
     if rows is None:
         rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
-    table = bits_table(cfg.aec)
+    model = context_model(cfg.aec)
     recent = tuple(prior_dirs)[-k:]
     dir_v = seg.dirpair[0]
     p, q = seg.start
@@ -135,9 +124,9 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     rate = 0.0
     dist = 0.0
     for t, d in enumerate(dirs, 1):
-        bits = _early_bits(prior_count + t - 1, k)
+        bits = early_bits(prior_count + t - 1, k)
         if bits is None:
-            bits = table[recent].get(d)
+            bits = model[recent][0].get(d)
             if bits is None:
                 raise ValueError("path doubles back")
         total += cfg.lagrange * bits
@@ -180,7 +169,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     p_end, q_end = segment_endpoint(seg)
     rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
     row_cost = rows.cost
-    table = bits_table(cfg.aec)
+    model = context_model(cfg.aec)
     lagrange = cfg.lagrange
     opp_v, opp_h = OPPOSITE[dir_v], OPPOSITE[dir_h]
     dp_v = DIR_VECTOR[dir_v][0]
@@ -192,15 +181,15 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     for t in range(1, seg.length + 1):
         nxt = {}
         par = {}
-        early = _early_bits(prior_count + t - 1, k)
+        early = early_bits(prior_count + t - 1, k)
         for state, cost in layer.items():
             recent, p, q = state
             last = recent[-1] if recent else None
+            bits = None if early is not None else model[recent][0]
             # vertical evaluated first (tie preference); a move into an
             # occupied state must be strictly cheaper to replace it
             if p != p_end and last != opp_v:
-                bits = table[recent][dir_v] if early is None else early
-                c = cost + lagrange * bits
+                c = cost + lagrange * (early if bits is None else bits[dir_v])
                 c += row_cost(p + row_offset, q)
                 new = ((recent + (dir_v,))[-k:], p + dp_v, q)
                 old = nxt.get(new)
@@ -208,8 +197,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
                     nxt[new] = c
                     par[new] = (state, dir_v)
             if q != q_end and last != opp_h:
-                bits = table[recent][dir_h] if early is None else early
-                c = cost + lagrange * bits
+                c = cost + lagrange * (early if bits is None else bits[dir_h])
                 new = ((recent + (dir_h,))[-k:], p, q + dq_h)
                 old = nxt.get(new)
                 if old is None or c < old:
@@ -358,15 +346,6 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     return None
 
 
-def _prefix_context(slots, index: int, k: int):
-    dirs = []
-    count = 0
-    for source, approx, _cost in slots[:index]:
-        dirs.extend(approx.dirs)
-        count += approx.length
-    return tuple(dirs)[-k:], count
-
-
 def _duplicate_edges(contour: Contour) -> bool:
     seen = set()
     p, q = contour.start
@@ -418,8 +397,9 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
         while improved:
             improved = False
             i = 0
+            prior = ()  # context of the edges before slot i
+            pcount = 0
             while i + 1 < len(slots):
-                prior, pcount = _prefix_context(slots, i, k)
                 nd = slots[i + 2][1].dirs[0] if i + 2 < len(slots) else None
                 res = merge_segments(
                     slots[i][0], slots[i + 1][0], prior, proxy, cfg,
@@ -427,6 +407,9 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
                     next_dir=nd, penalty_weight=penalty_weight,
                 )
                 if res is None:
+                    done = slots[i][1]
+                    prior = (prior + tuple(done.dirs))[-k:]
+                    pcount += done.length
                     i += 1
                     continue
                 mseg, mcost = res

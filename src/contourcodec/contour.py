@@ -113,10 +113,6 @@ def to_relative(start, dirs) -> Contour:
     return Contour(tuple(start), dirs[0], rest)
 
 
-def to_absolute(contour: Contour) -> list:
-    return contour.absolute_dirs()
-
-
 @dataclass(frozen=True)
 class Segment:
     """A contour run restricted to two non-opposite absolute directions.

@@ -249,8 +249,3 @@ def row_distortion(image, row: int, window_start: int, q_orig: int, q_new: int, 
     its memo.
     """
     return row_proxy(image, cfg).distortion(row, window_start, q_new - q_orig)
-
-
-def block_proxy(row_distortions) -> float:
-    """Block-level proxy: the plain sum of row distortions (inf-absorbing)."""
-    return float(sum(row_distortions))

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,14 +12,18 @@ from contourcodec.aec import (
     BitstreamError,
     DegenerateContextError,
     PROB_FLOOR,
+    context_model,
+    context_points,
     decode,
+    early_bits,
     edge_probabilities,
     encode,
     estimate_rate,
     fit_line,
     payload_bits,
 )
-from contourcodec.contour import Contour, to_relative
+from contourcodec.contour import ABSOLUTE, OPPOSITE, Contour, detect_contours, to_relative, turn
+from contourcodec.image_io import SceneSpec, make_synthetic_scene
 
 
 def unit(v):
@@ -111,6 +117,39 @@ class TestEdgeProbabilities:
             assert a[rel] == pytest.approx(b[rel], abs=1e-12)
 
 
+def full_windows(k):
+    """Every window of k absolute directions without a 180-degree turn."""
+    for w in product(ABSOLUTE, repeat=k):
+        if all(b != OPPOSITE[a] for a, b in zip(w, w[1:])):
+            yield w
+
+
+class TestContextModel:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_full_window_matches_edge_probabilities(self, k):
+        params = AecParams(context_len=k)
+        model = context_model(params)
+        windows = list(full_windows(k))
+        assert len(windows) == 4 * 3 ** (k - 1)
+        for w in windows:
+            probs = edge_probabilities(context_points((0, 0), w), w[-1], params)
+            bits, cum = model[w]
+            assert list(bits) == [turn(w[-1], rel) for rel in "lsr"]
+            assert list(bits.values()) == [-math.log2(probs[rel]) for rel in "lsr"]
+            freqs = aec._quantize([probs[rel] for rel in "lsr"])
+            assert cum == (0, freqs[0], freqs[0] + freqs[1], sum(freqs))
+
+    def test_one_model_per_params(self):
+        assert context_model(AecParams(context_len=4)) is context_model(AecParams(context_len=4))
+        assert context_model(AecParams(context_len=4)) is not context_model(AecParams())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_early_rule(self, k):
+        assert early_bits(0, k) == 2.0
+        assert [early_bits(n, k) for n in range(1, k)] == [math.log2(3.0)] * (k - 1)
+        assert early_bits(k, k) is None and early_bits(k + 5, k) is None
+
+
 class TestEstimateRate:
     def test_single_edge_costs_two_bits(self):
         assert estimate_rate(Contour((3, 3), "E"), AecParams()) == pytest.approx(2.0)
@@ -133,6 +172,31 @@ def _random_sets(rng, n_sets, max_len=200, max_contours=4):
     for _ in range(n_sets):
         count = int(rng.integers(1, max_contours + 1))
         yield [random_contour(rng, int(rng.integers(1, max_len + 1))) for _ in range(count)]
+
+
+# sha256 of the streams of the contours detected on the README scene's views
+# (128x96, jitter 2, noise texture, seed 2, threshold 30), one per context length
+GOLDEN_STREAMS = {
+    ("left", 3): "f38e44de2f0e3fa207c57dbdf99f2fe2288f2b059101bb96d96f98c7312fc542",
+    ("left", 5): "ad028c759515e85a975f800cd868c25534345cde2ecb4a3365fa8f41447c2912",
+    ("right", 3): "f01208d428af7ec558063b9d8fb94c7205bc844bca3e880d8b59e89abd955bc4",
+    ("right", 5): "3ee13421b6a3b1d8a9891f3fc5d8715a1b30645258058c483395696d13c0cdf8",
+}
+
+
+@pytest.fixture(scope="module")
+def readme_views():
+    left, right = make_synthetic_scene(2, SceneSpec(width=128, height=96, jitter=2, texture="noise"))
+    return {"left": left, "right": right}
+
+
+@pytest.mark.parametrize("view,k", sorted(GOLDEN_STREAMS))
+def test_readme_scene_streams_match_golden(readme_views, view, k):
+    contours = detect_contours(readme_views[view][0], 30)
+    params = AecParams(context_len=k)
+    data = encode(contours, params)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_STREAMS[view, k]
+    assert decode(data, params) == contours
 
 
 class TestCodec:

@@ -208,6 +208,20 @@ def test_sweep_matches_readme_golden_csv():
     assert csv.encode() == expected
 
 
+SMALL_K2_SWEEP = Path(__file__).with_name("data") / "sweep_96x80_k2.csv"
+
+
+def test_sweep_matches_small_k2_golden_csv():
+    """A 96x80 scene at K=2 whose CSV, unlike the README sweep's, changes
+    when the DP's vertical-edge rate term or its row costs are scaled."""
+    expected = SMALL_K2_SWEEP.read_bytes()
+    assert hashlib.sha256(expected).hexdigest().startswith("db7af4d4d125")
+    spec = SceneSpec(width=96, height=80, jitter=1, texture="noise")
+    left, right = make_synthetic_scene(1, spec)
+    csv = run_sweep(left, right, PipelineConfig(seed=1, context=2), (0.5, 1.0, 4.0), spec.value_scale, timing=False)
+    assert csv.encode() == expected
+
+
 def test_psnr_cap_and_symmetry(rng):
     img = ColorImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     assert psnr(img, img) == 99.0

@@ -16,7 +16,6 @@ from contourcodec.contour import (
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
-    to_absolute,
     to_relative,
     trace_edge_maps,
 )
@@ -68,7 +67,7 @@ def test_doubling_back_rejected():
 @settings(max_examples=60, deadline=None)
 def test_relative_absolute_roundtrip(seed, length):
     c = random_contour(np.random.default_rng(seed), length)
-    assert to_relative(c.start, to_absolute(c)) == c
+    assert to_relative(c.start, c.absolute_dirs()) == c
 
 
 def test_split_keeps_corner_edge_in_earlier_segment():

@@ -12,7 +12,6 @@ from contourcodec.swim import (
     SwimConfig,
     best_match,
     block_distortion,
-    block_proxy,
     haar_row,
     laplace_fit,
     laplace_ks,
@@ -318,17 +317,6 @@ class TestRowProxy:
         assert row_distortion(proxy, 2, 16, 20, 21, SwimConfig(block=16, window=10)) >= 0.0
         with pytest.raises(ValueError, match="different SwimConfig"):
             row_distortion(proxy, 2, 16, 20, 21, SwimConfig(block=8, window=10))
-
-
-class TestBlockProxy:
-    def test_all_zero(self):
-        assert block_proxy([0.0] * 16) == 0.0
-
-    def test_infinity_absorbs(self):
-        assert block_proxy([0.1, math.inf, 0.2]) == math.inf
-
-    def test_plain_sum(self):
-        assert block_proxy([0.25] * 16) == pytest.approx(4.0)
 
 
 class TestUpperBound:
