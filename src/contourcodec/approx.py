@@ -31,6 +31,8 @@ from .contour import (
     OPPOSITE,
     Contour,
     Segment,
+    crack,
+    cracks,
     join_segments,
     segment_endpoint,
     segment_vertical_columns,
@@ -40,6 +42,8 @@ from .contour import (
 from .swim import RowProxy, SwimConfig, row_distortion, row_proxy, window_anchor
 
 logger = logging.getLogger(__name__)
+
+_DIRECTION_OF = {vector: d for d, vector in DIR_VECTOR.items()}
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,10 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
         rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
     model = context_model(cfg.aec)
     recent = tuple(prior_dirs)[-k:]
-    dir_v = seg.dirpair[0]
-    p, q = seg.start
     total = 0.0
     rate = 0.0
     dist = 0.0
-    for t, d in enumerate(dirs, 1):
+    for t, (d, (vertical, row, q)) in enumerate(zip(dirs, cracks(seg.start, dirs)), 1):
         bits = early_bits(prior_count + t - 1, k)
         if bits is None:
             bits = model[recent][0].get(d)
@@ -131,13 +133,11 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
                 raise ValueError("path doubles back")
         total += cfg.lagrange * bits
         rate += bits
-        if d == dir_v:
-            row = p if d == "S" else p - 1
+        if vertical:
             c = rows.cost(row, q)
             total += c
             dist += c
         recent = (recent + (d,))[-k:]
-        p, q = step((p, q), d)
     return RdCost(dist, rate, total)
 
 
@@ -174,7 +174,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     opp_v, opp_h = OPPOSITE[dir_v], OPPOSITE[dir_h]
     dp_v = DIR_VECTOR[dir_v][0]
     dq_h = DIR_VECTOR[dir_h][1]
-    row_offset = 0 if dir_v == "S" else -1  # pixel row of a vertical edge leaving (p, q)
+    row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
 
     layer = {(prior, seg.start[0], seg.start[1]): 0.0}
     parents = []
@@ -238,7 +238,9 @@ def project_onto_rectangle(a: Segment, b: Segment):
     """Project the pair's edges onto the rectangle spanned by a's start and
     b's end, clamping vertices and dropping collapsed edges.
 
-    Returns the projected two-direction Segment, or None when the pair is not
+    Returns (projected two-direction Segment, shifts), where shifts lists
+    (row, original column, projected column) for every vertical edge of the
+    pair whose column the projection moves; or None when the pair is not
     mergeable (coincident corners, or the clamped walk is not monotone).
     """
     if segment_endpoint(a) != b.start:
@@ -252,56 +254,33 @@ def project_onto_rectangle(a: Segment, b: Segment):
     dir_v = "S" if l2[0] >= l0[0] else "N"
     dir_h = "E" if l2[1] >= l0[1] else "W"
     dirs = []
-    p, q = l0
-    prev = l0
+    shifts = []
+    point = prev = l0
     for d in a.dirs + b.dirs:
-        p, q = step((p, q), d)
-        clamped = (min(max(p, p_lo), p_hi), min(max(q, q_lo), q_hi))
+        vertical, row, col = crack(point, d)
+        if vertical and not q_lo <= col <= q_hi:
+            shifts.append((row, col, min(max(col, q_lo), q_hi)))
+        point = step(point, d)
+        clamped = (min(max(point[0], p_lo), p_hi), min(max(point[1], q_lo), q_hi))
         if clamped != prev:
-            dp, dq = clamped[0] - prev[0], clamped[1] - prev[1]
-            if dp == 1 and dq == 0:
-                nd = "S"
-            elif dp == -1 and dq == 0:
-                nd = "N"
-            elif dp == 0 and dq == 1:
-                nd = "E"
-            elif dp == 0 and dq == -1:
-                nd = "W"
-            else:
-                return None
+            nd = _DIRECTION_OF.get((clamped[0] - prev[0], clamped[1] - prev[1]))
             if nd not in (dir_v, dir_h):
                 return None
             dirs.append(nd)
             prev = clamped
     if prev != l2:
         return None
-    return Segment(l0, (dir_v, dir_h), "".join(dirs))
-
-
-def projection_shifts(a: Segment, b: Segment):
-    """(row, original column, projected column) for every vertical edge of the
-    pair whose column the rectangle projection moves."""
-    l0 = a.start
-    l2 = segment_endpoint(b)
-    q_lo, q_hi = sorted((l0[1], l2[1]))
-    shifts = []
-    p, q = l0
-    for d in a.dirs + b.dirs:
-        if d in "SN":
-            row = p if d == "S" else p - 1
-            qc = min(max(q, q_lo), q_hi)
-            if qc != q:
-                shifts.append((row, q, qc))
-        p, q = step((p, q), d)
-    return shifts
+    return Segment(l0, (dir_v, dir_h), "".join(dirs)), shifts
 
 
 def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, prior_count: int | None = None, cost_a: RdCost | None = None, cost_b: RdCost | None = None, next_dir: str | None = None, penalty_weight: float = 0.0):
     """Try to replace two adjacent segments by one re-optimized segment.
 
-    Returns (merged Segment, RdCost including the merge distortion) when the
-    merge strictly lowers the summed cost, else None.  When per-segment costs
-    are not supplied they are computed here with the same configuration.
+    Returns (projected Segment, merged Segment, RdCost including the merge
+    distortion) when the merge strictly lowers the summed cost, else None; the
+    projected segment is the pair on its joint rectangle, the original that
+    later merges re-optimize.  When per-segment costs are not supplied they
+    are computed here with the same configuration.
     """
     proxy = row_proxy(color, cfg.swim)
     k = cfg.aec.context_len
@@ -317,12 +296,13 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
         prior_b = (prior + tuple(a_seg.dirs))[-k:]
         _, cost_b = approximate_segment(b, prior_b, proxy, segment_vertical_columns(b), cfg, prior_count=prior_count + a.length, penalty_weight=penalty_weight)
 
-    projected = project_onto_rectangle(a, b)
-    if projected is None:
+    projection = project_onto_rectangle(a, b)
+    if projection is None:
         return None
+    projected, shifts = projection
     shifted = _RowCosts(proxy, {}, cfg, penalty_weight)
     merge_d = 0.0
-    for row, q_orig, q_proj in projection_shifts(a, b):
+    for row, q_orig, q_proj in shifts:
         merge_d += shifted.shift_cost(row, q_orig, q_proj)
     if math.isinf(merge_d):
         return None
@@ -336,27 +316,15 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
         return None
     if math.isinf(mcost.total):
         return None
-    if mseg.dirs and prior and OPPOSITE[prior[-1]] == mseg.dirs[0]:
-        return None
-    if next_dir is not None and mseg.dirs and OPPOSITE[mseg.dirs[-1]] == next_dir:
-        return None
     total = mcost.total + merge_d
     if total < cost_a.total + cost_b.total:
-        return mseg, RdCost(mcost.distortion + merge_d, mcost.rate, total)
+        return projected, mseg, RdCost(mcost.distortion + merge_d, mcost.rate, total)
     return None
 
 
 def _duplicate_edges(contour: Contour) -> bool:
-    seen = set()
-    p, q = contour.start
-    for d in contour.absolute_dirs():
-        nxt = step((p, q), d)
-        edge = ((p, q), nxt) if (p, q) < nxt else (nxt, (p, q))
-        if edge in seen:
-            return True
-        seen.add(edge)
-        p, q = nxt
-    return False
+    edges = list(cracks(contour.start, contour.absolute_dirs()))
+    return len(set(edges)) != len(edges)
 
 
 def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, penalty_weight: float = 0.0):
@@ -412,9 +380,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
                     pcount += done.length
                     i += 1
                     continue
-                mseg, mcost = res
-                projected = project_onto_rectangle(slots[i][0], slots[i + 1][0])
-                slots[i : i + 2] = [[projected, mseg, mcost]]
+                slots[i : i + 2] = [list(res)]  # (projected original, approximation, cost)
                 improved = True
 
     assembled = join_segments([s[1] for s in slots])
@@ -437,15 +403,7 @@ def contour_row_shifts(original: Contour, approximated: Contour):
     """
 
     def crossings(c: Contour):
-        out = []
-        p, q = c.start
-        for d in c.absolute_dirs():
-            if d == "S":
-                out.append((p, q))
-            elif d == "N":
-                out.append((p - 1, q))
-            p, q = step((p, q), d)
-        return out
+        return [(row, q) for vertical, row, q in cracks(c.start, c.absolute_dirs()) if vertical]
 
     orig = crossings(original)
     new = crossings(approximated)

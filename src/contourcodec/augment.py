@@ -20,24 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxConfig, approximate_contour
-from .contour import Contour, detect_contours, step
+from .contour import Contour, cracks, detect_contours
 from .image_io import ColorImage, DepthImage
 
 logger = logging.getLogger(__name__)
 
-UNCHANGED = 0
-TO_FOREGROUND = 1
-TO_BACKGROUND = -1
-
 
 @dataclass(frozen=True, eq=False)
 class ChangeMask:
-    """Per-pixel flip record: flags in {0, +1 (to foreground), -1 (to
-    background)}; side is the new-side parity map used to pick donors."""
+    """Per-pixel flip record: flags marks the pixels that changed side; side
+    is the new-side parity map used to pick donors."""
 
-    flags: np.ndarray  # int8
+    flags: np.ndarray  # bool
     side: np.ndarray  # uint8 parity under the approximated contour
-    fg_parity: int
 
     @property
     def empty(self) -> bool:
@@ -48,13 +43,9 @@ def side_parity(contour: Contour, height: int, width: int) -> np.ndarray:
     """Per-pixel parity of the number of contour vertical edges at or left of
     the pixel's column, row by row."""
     counts = np.zeros((height, width + 1), np.int32)
-    p, q = contour.start
-    for d in contour.absolute_dirs():
-        if d == "S":
-            counts[p, q] += 1
-        elif d == "N":
-            counts[p - 1, q] += 1
-        p, q = step((p, q), d)
+    for vertical, row, col in cracks(contour.start, contour.absolute_dirs()):
+        if vertical:
+            counts[row, col] += 1
     # pixel (r, c) lies right of an edge at column qe iff qe <= c
     return (np.cumsum(counts, axis=1)[:, :-1] % 2).astype(np.uint8)
 
@@ -72,16 +63,7 @@ def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):
     side_a = side_parity(approximated, h, w)
     changed = side_o != side_a
 
-    on_side = side_o == 1
-    if changed.any() or on_side.any():
-        in_mean = float(depth.pixels[on_side].mean()) if on_side.any() else -1.0
-        out_mean = float(depth.pixels[~on_side].mean()) if (~on_side).any() else -1.0
-        fg_parity = 1 if in_mean >= out_mean else 0
-    else:
-        fg_parity = 1
-
     out = depth.pixels.copy()
-    flags = np.zeros((h, w), np.int8)
     donor_ok = ~changed
     for r, c in np.argwhere(changed):
         want = side_a[r, c]
@@ -105,8 +87,7 @@ def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):
             logger.warning("no donor found for flipped pixel (%d, %d); value kept", r, c)
             value = depth.pixels[r, c]
         out[r, c] = value
-        flags[r, c] = TO_FOREGROUND if want == fg_parity else TO_BACKGROUND
-    return DepthImage(out), ChangeMask(flags, side_a, fg_parity)
+    return DepthImage(out), ChangeMask(changed, side_a)
 
 
 def augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
@@ -120,7 +101,7 @@ def augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
     if mask.flags.shape != color.pixels.shape[:2]:
         raise ValueError("mask dimensions do not match the color image")
     work = color.pixels.astype(np.float64)
-    holes = mask.flags != 0
+    holes = mask.flags
     side = mask.side
 
     def fill_pass(require_side: bool) -> bool:

@@ -4,7 +4,10 @@ Contours live on the pixel-corner lattice: a corner point (p, q) satisfies
 0 <= p <= height and 0 <= q <= width.  A vertical crack edge between the
 horizontally adjacent pixels (r, c-1) and (r, c) runs from corner (r, c) to
 (r+1, c); a horizontal crack between the vertically adjacent pixels (r-1, c)
-and (r, c) runs from (r, c) to (r, c+1).
+and (r, c) runs from (r, c) to (r, c+1).  ``crack`` is the one statement of
+which crack a step runs along; tracing, rasterization, the DP's row costs,
+merging and the side parity of augmentation all index cracks through it.
+Only ``_available``, the inner loop of tracing, spells the rule out inline.
 
 A chain stores one absolute starting direction plus relative turns, the
 differential chain code.  Absolute directions are the characters "E", "S",
@@ -190,15 +193,7 @@ def join_segments(segments) -> Contour:
 
 def segment_vertical_columns(seg: Segment) -> dict:
     """Map each pixel row crossed by a vertical edge to that edge's column."""
-    cols = {}
-    p, q = seg.start
-    for d in seg.dirs:
-        if d == "S":
-            cols[p] = q
-        elif d == "N":
-            cols[p - 1] = q
-        p, q = step((p, q), d)
-    return cols
+    return {row: col for vertical, row, col in cracks(seg.start, seg.dirs) if vertical}
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +221,40 @@ def edge_maps(depth, threshold: int = 30):
     return vert, horiz
 
 
+def crack(point, direction: str) -> tuple:
+    """The crack edge that a step from corner ``point`` runs along.
+
+    Returns (vertical, row, col), an index into ``vert`` when ``vertical``
+    and into ``horiz`` otherwise (the ``edge_maps`` pair): S runs along
+    vert[p, q], N along vert[p-1, q], E along horiz[p, q] and W along
+    horiz[p, q-1].  A crack is the same walked either way:
+    crack(p, d) == crack(step(p, d), OPPOSITE[d]).
+    """
+    p, q = point
+    if direction == "S":
+        return True, p, q
+    if direction == "N":
+        return True, p - 1, q
+    if direction == "E":
+        return False, p, q
+    return False, p, q - 1
+
+
+def cracks(start, dirs):
+    """Yield ``crack`` for every step of the chain ``dirs`` from ``start``."""
+    point = start
+    for d in dirs:
+        yield crack(point, d)
+        point = step(point, d)
+
+
 def contour_edge_maps(contours, height: int, width: int):
     """Rasterize contours back into crack-edge maps (inverse of tracing)."""
     vert = np.zeros((height, width + 1), bool)
     horiz = np.zeros((height + 1, width), bool)
     for c in contours:
-        p, q = c.start
-        for d in c.absolute_dirs():
-            if d == "S":
-                vert[p, q] = True
-            elif d == "N":
-                vert[p - 1, q] = True
-            elif d == "E":
-                horiz[p, q] = True
-            else:
-                horiz[p, q - 1] = True
-            p, q = step((p, q), d)
+        for vertical, row, col in cracks(c.start, c.absolute_dirs()):
+            (vert if vertical else horiz)[row, col] = True
     return vert, horiz
 
 
@@ -260,14 +273,8 @@ def _available(vert, horiz, p, q):
 
 
 def _consume(vert, horiz, p, q, d):
-    if d == "S":
-        vert[p, q] = False
-    elif d == "N":
-        vert[p - 1, q] = False
-    elif d == "E":
-        horiz[p, q] = False
-    else:
-        horiz[p, q - 1] = False
+    vertical, row, col = crack((p, q), d)
+    (vert if vertical else horiz)[row, col] = False
 
 
 def _trace_from(vert, horiz, p, q) -> Contour:

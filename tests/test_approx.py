@@ -12,7 +12,6 @@ from contourcodec.approx import (
     approximate_segment,
     merge_segments,
     project_onto_rectangle,
-    projection_shifts,
     row_cost_table,
     segment_path_cost,
 )
@@ -147,12 +146,11 @@ class TestMerge:
         # beyond the joint rectangle land on its right side
         a = Segment((0, 0), ("S", "E"), "EEEESS")
         b = Segment((2, 4), ("S", "W"), "WWS")
-        proj = project_onto_rectangle(a, b)
-        assert proj is not None
+        proj, shifts = project_onto_rectangle(a, b)
         assert proj.start == (0, 0)
         assert segment_endpoint(proj) == (3, 2)
         assert proj.dirs == "EESSS"
-        assert projection_shifts(a, b) == [(0, 4, 2), (1, 4, 2)]
+        assert shifts == [(0, 4, 2), (1, 4, 2)]
 
     def test_projection_degenerate_loop(self):
         a = Segment((0, 0), ("S", "E"), "ES")
@@ -165,10 +163,12 @@ class TestMerge:
         # optimization can move the junction, so the merge wins
         a = Segment((16, 20), ("S", "E"), "SEESSE")
         b = Segment((19, 23), ("S", "E"), "ESSEES")
-        assert projection_shifts(a, b) == []
+        proj, shifts = project_onto_rectangle(a, b)
+        assert shifts == []
         res = merge_segments(a, b, (), color, small_cfg(4.0))
         assert res is not None
-        merged, cost = res
+        projected, merged, cost = res
+        assert projected == proj
         assert merged.start == a.start
         assert segment_endpoint(merged) == segment_endpoint(b)
 
@@ -179,7 +179,7 @@ class TestMerge:
         # distortion, and with lambda = 0 there is no rate gain to pay for it
         a = Segment((16, 20), ("S", "E"), "EEEEEESS")
         b = Segment((18, 26), ("S", "W"), "WWWWSS")
-        shifts = projection_shifts(a, b)
+        _, shifts = project_onto_rectangle(a, b)
         assert shifts and all(qp != qo for _, qo, qp in shifts)
         res = merge_segments(a, b, (), color, small_cfg(0.0))
         assert res is None

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import contour_from_boundary_columns, textured_color
-from contourcodec.aec import AecParams
+from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import ApproxConfig, approximate_contour
 from contourcodec.augment import (
-    TO_BACKGROUND,
     approximate_stereo,
     augment_color,
     augment_depth,
@@ -15,6 +14,7 @@ from contourcodec.augment import (
     warp_view,
 )
 from contourcodec.cli import psnr
+from contourcodec.config import PipelineConfig
 from contourcodec.contour import detect_contours
 from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene, render_scene_view
 from contourcodec.swim import SwimConfig
@@ -44,7 +44,6 @@ class TestAugmentDepth:
         depth, orig, appr = fig_case()
         out, mask = augment_depth(depth, orig, appr)
         assert np.argwhere(mask.flags != 0).tolist() == [[2, 2]]
-        assert mask.flags[2, 2] == TO_BACKGROUND
         assert out.pixels[2, 2] == 50
 
     def test_redetection_yields_approximated_contour(self):
@@ -189,3 +188,18 @@ class TestApproximateStereo:
                 moved += qo != qn
         assert total > 0
         assert moved <= 0.01 * total
+
+    def test_self_touching_approximation_keeps_the_original(self, caplog):
+        # at lambda 0.5 and K=2 the left view's second contour approximates
+        # to a chain that runs along one crack twice, so approximate_contour
+        # falls back to the original contour and prices it at its own rate
+        spec = SceneSpec(width=96, height=80, jitter=2, texture="noise")
+        left, right = make_synthetic_scene(1, spec)
+        cfg = PipelineConfig(context=2).approx_config(0.5)
+        with caplog.at_level("WARNING", logger="contourcodec.approx"):
+            res = approximate_stereo(left, right, cfg, threshold=30, scale=spec.value_scale)
+        original = res.left.original_contours[1]
+        assert res.left.contours[1] == original
+        assert res.left.costs[1].distortion == 0.0
+        assert res.left.costs[1].rate == estimate_rate(original, cfg.aec)
+        assert "self-touching contour; keeping the original" in caplog.text

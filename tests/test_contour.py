@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import random_contour
 from contourcodec.contour import (
+    ABSOLUTE,
+    OPPOSITE,
     Contour,
     Segment,
     contour_edge_maps,
+    crack,
+    cracks,
     detect_contours,
     edge_maps,
     format_contours,
@@ -16,6 +20,7 @@ from contourcodec.contour import (
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
+    step,
     to_relative,
     trace_edge_maps,
 )
@@ -139,6 +144,29 @@ def test_segment_endpoint_matches_walk(seed, length):
 def test_segment_vertical_columns():
     cols = segment_vertical_columns(Segment((1, 4), ("S", "W"), "SWSWSS"))
     assert cols == {1: 4, 2: 3, 3: 2, 4: 2}
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.sampled_from(ABSOLUTE))
+def test_crack_is_the_same_walked_backwards(p, q, d):
+    assert crack((p, q), d) == crack(step((p, q), d), OPPOSITE[d])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80))
+@settings(max_examples=60, deadline=None)
+def test_cracks_of_a_chain_index_into_edge_maps(seed, length):
+    # shift a random chain so that its bounding box is the whole h x w lattice
+    c = random_contour(np.random.default_rng(seed), length)
+    pts = c.points()
+    p0 = min(p for p, _ in pts)
+    q0 = min(q for _, q in pts)
+    h = max(p for p, _ in pts) - p0
+    w = max(q for _, q in pts) - q0
+    vert, horiz = edge_maps(np.zeros((h, w), np.uint8))
+    found = list(cracks((c.start[0] - p0, c.start[1] - q0), c.absolute_dirs()))
+    assert len(found) == len(c)
+    for vertical, row, col in found:
+        rows, cols = (vert if vertical else horiz).shape
+        assert 0 <= row < rows and 0 <= col < cols
 
 
 def test_detection_idempotent_on_rasterized_edges(rng):
