@@ -157,26 +157,30 @@ def _warp(depth: DepthImage, color: ColorImage | None, alpha: float, direction: 
     h, w = d.shape
     shifts = np.rint(alpha * d.astype(np.float64) * scale).astype(np.int64)
     cols = np.arange(w)[None, :] + direction * shifts
-    rows = np.broadcast_to(np.arange(h)[:, None], (h, w))
     inside = (cols >= 0) & (cols < w)
 
-    src_r = rows[inside]
-    src_c = np.broadcast_to(np.arange(w)[None, :], (h, w))[inside]
-    dst_c = cols[inside]
-    disp = d[inside]
-    # z-buffer: sort so larger disparity (then rightmost source) writes last
-    order = np.lexsort((src_c, disp))
-    tgt = src_r[order] * w + dst_c[order]
+    src_r, src_c = np.nonzero(inside)
+    tgt = src_r * w + cols[inside]
+    # z-buffer: the key orders by disparity, then source column; each target
+    # keeps the one write whose key is its maximum
+    key = d[inside].astype(np.int64) * w + src_c
+    best = np.full(h * w, np.iinfo(np.int64).min)
+    np.maximum.at(best, tgt, key)
+    win = key == best[tgt]
+    src = (src_r * w + src_c)[win]
+    tgt = tgt[win]
 
     out_d = np.zeros(h * w, d.dtype)
     valid = np.zeros(h * w, bool)
-    out_d[tgt] = disp[order]
+    out_d[tgt] = d.ravel()[src]
     valid[tgt] = True
     out_c = None
     if color is not None:
-        out_c = np.zeros((h * w, 3), color.pixels.dtype)
-        out_c[tgt] = color.pixels[inside][order]
-        out_c = out_c.reshape(h, w, 3)
+        # one 3-byte item per pixel: a pixel moves as one copy, not three
+        pix = np.ascontiguousarray(color.pixels).reshape(h * w, 3).view("V3")
+        out_c = np.zeros((h * w, 1), pix.dtype)
+        out_c[tgt] = pix[src]
+        out_c = out_c.view(np.uint8).reshape(h, w, 3)
     return out_d.reshape(h, w), out_c, valid.reshape(h, w)
 
 
@@ -194,29 +198,23 @@ def warp_depth(depth: DepthImage, alpha: float, direction: int, scale: float = 1
 
 def _fill_holes_row(colors: np.ndarray, disp: np.ndarray, valid: np.ndarray) -> None:
     """Fill hole runs from whichever side has the smaller (background)
-    disparity, constant along the run; edits in place."""
-    h, w = valid.shape
-    for r in range(h):
-        c = 0
-        while c < w:
-            if valid[r, c]:
-                c += 1
-                continue
-            c1 = c
-            while c1 < w and not valid[r, c1]:
-                c1 += 1
-            left = c - 1 if c > 0 else None
-            right = c1 if c1 < w else None
-            donor = None
-            if left is not None and right is not None:
-                donor = left if disp[r, left] <= disp[r, right] else right
-            elif left is not None:
-                donor = left
-            elif right is not None:
-                donor = right
-            if donor is not None:
-                colors[r, c:c1] = colors[r, donor]
-            c = c1
+    disparity, constant along the run; edits in place.  Rows without a
+    valid pixel stay as they are."""
+    w = valid.shape[1]
+    rows = np.flatnonzero(~valid.all(axis=1) & valid.any(axis=1))
+    if rows.size == 0:
+        return
+    ok = valid[rows]
+    col = np.arange(w, dtype=np.int32)
+    # nearest valid column at or left / right of each pixel; -1 / w if none
+    left = np.maximum.accumulate(np.where(ok, col, np.int32(-1)), axis=1)
+    right = np.minimum.accumulate(np.where(ok, col, np.int32(w))[:, ::-1], axis=1)[:, ::-1]
+    d = disp[rows]
+    d_left = np.take_along_axis(d, np.maximum(left, 0), axis=1)
+    d_right = np.take_along_axis(d, np.minimum(right, w - 1), axis=1)
+    donor = np.where((left >= 0) & ((right == w) | (d_left <= d_right)), left, right)
+    hr, hc = np.nonzero(~ok)
+    colors[rows[hr], hc] = colors[rows[hr], donor[hr, hc]]
 
 
 def synthesize_view(left, right, alpha: float, scale: float = 1.0) -> ColorImage:
@@ -227,13 +225,9 @@ def synthesize_view(left, right, alpha: float, scale: float = 1.0) -> ColorImage
     (rdep, rcol) = right
     dl, cl, vl = _warp(ldep, lcol, alpha, -1, scale)
     dr, cr, vr = _warp(rdep, rcol, 1.0 - alpha, 1, scale)
-    out = np.zeros_like(cl, np.float64)
-    both = vl & vr
-    out[both] = (1.0 - alpha) * cl[both] + alpha * cr[both]
-    onlyl = vl & ~vr
-    onlyr = vr & ~vl
-    out[onlyl] = cl[onlyl]
-    out[onlyr] = cr[onlyr]
+    # pixels neither view reaches read the zeros _warp leaves there
+    single = np.where(vl[..., None], cl, cr)
+    out = np.where((vl & vr)[..., None], (1.0 - alpha) * cl + alpha * cr, single)
     out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     disp = np.where(vl, dl, dr)
     _fill_holes_row(out, disp, vl | vr)

@@ -3,11 +3,19 @@
 The metric partitions the test image into non-overlapping NxN blocks, finds
 for each the best horizontally shifted match in the reference, Haar-transforms
 every row of both blocks, and takes the Kolmogorov-Smirnov distance between
-the histograms of the detail coefficients.  The proxy replaces the per-block
-histogram comparison by per-row comparisons of fitted Laplace scales, which
-have a closed-form KS distance; row distortions are evaluated with a shifting
-N-pixel window on the input color image so no view synthesis is needed inside
-the optimizer.
+the histograms of the detail coefficients.  It is evaluated one block row at
+a time, the blocks of a row as one array: a shift's squared errors are summed
+per block over a contiguous row of n*n values, in the pairwise order
+``np.mean`` uses on one block, and the match is the first minimum in the
+order smallest |shift|, then smaller shift.  Coefficients are binned on
+``np.linspace`` edges over the pair's joint range, a value in bin i iff
+edges[i] <= x < edges[i + 1] with the last bin closed: the bins
+``np.histogram`` assigns, also on ranges a few ULPs wide that it refuses.
+
+The proxy replaces the per-block histogram comparison by per-row comparisons
+of fitted Laplace scales, which have a closed-form KS distance; row
+distortions are evaluated with a shifting N-pixel window on the input color
+image so no view synthesis is needed inside the optimizer.
 
 Note the closed form drops the constant 1/2 of the Laplace CDFs, i.e. it
 equals twice the true KS distance; it still lies in [0, 1].
@@ -19,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .image_io import ColorImage
 
@@ -77,6 +86,37 @@ def haar_row(values) -> np.ndarray:
     return np.concatenate(details, axis=-1)
 
 
+def _match_blocks(targets: np.ndarray, ref_strip: np.ndarray, starts: np.ndarray, window: int):
+    """Best horizontally shifted reference block for each target block.
+
+    ``targets`` is an (m, n, n) stack of blocks whose columns start at the
+    ascending ``starts``; ``ref_strip`` holds the n reference rows they lie
+    in.  Each shift's squared errors are summed per block over a contiguous
+    n*n row, the pairwise order ``np.mean`` uses on one block; out-of-bounds
+    candidates score inf, and ``argmin`` over shifts in tie-break order keeps
+    the first minimum.  Returns (matched (m, n, n), shifts (m,)).
+    """
+    m, n, _ = targets.shape
+    width = ref_strip.shape[1]
+    flat = targets.reshape(m, n * n)
+    # tie-break order: smallest |shift| first, then the smaller shift
+    shifts = np.array(sorted(range(-window, window + 1), key=lambda k: (abs(k), k)))
+    errors = np.full((shifts.size, m), np.inf)
+    if width >= n:
+        candidates = sliding_window_view(ref_strip, (n, n))[0]  # (width - n + 1, n, n)
+        for s, k in enumerate(shifts):
+            cols = starts + k
+            lo, hi = np.searchsorted(cols, 0), np.searchsorted(cols, width - n, side="right")
+            if lo < hi:
+                sq = (candidates[cols[lo:hi]].reshape(hi - lo, n * n) - flat[lo:hi]) ** 2
+                errors[s, lo:hi] = np.add.reduce(sq, axis=-1) / (n * n)
+    pick = np.argmin(errors, axis=0)
+    if np.isinf(errors[pick, np.arange(m)]).any():
+        raise ValueError("no in-bounds candidate block")
+    chosen = shifts[pick]
+    return candidates[starts + chosen], chosen
+
+
 def best_match(synth_lum: np.ndarray, ref_lum: np.ndarray, row: int, col: int, cfg: SwimConfig):
     """Best horizontally shifted reference block for the target block at
     (row, col); ties go to the smallest |shift|, then the smallest shift.
@@ -87,21 +127,34 @@ def best_match(synth_lum: np.ndarray, ref_lum: np.ndarray, row: int, col: int, c
     h, w = synth_lum.shape
     if not (0 <= row <= h - n and 0 <= col <= w - n):
         raise ValueError("target block out of bounds")
-    target = synth_lum[row : row + n, col : col + n]
-    best = None
-    best_err = math.inf
-    for k in sorted(range(-cfg.window, cfg.window + 1), key=lambda k: (abs(k), k)):
-        c = col + k
-        if c < 0 or c + n > ref_lum.shape[1]:
-            continue
-        cand = ref_lum[row : row + n, c : c + n]
-        err = float(np.mean((cand - target) ** 2))
-        if err < best_err:
-            best_err = err
-            best = (cand, k)
-    if best is None:
-        raise ValueError("no in-bounds candidate block")
-    return best
+    target = synth_lum[None, row : row + n, col : col + n]
+    matched, shifts = _match_blocks(target, ref_lum[row : row + n], np.array([col]), cfg.window)
+    return matched[0], int(shifts[0])
+
+
+def _ks_distances(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
+    """Row-wise KS distances between the histograms of ``a`` and ``b``,
+    (m, k) arrays, binned on each row pair's joint range.
+
+    A value lies in bin i iff edges[i] <= x < edges[i + 1], the last bin
+    closed, with the edges of ``np.linspace``: the bins ``np.histogram``
+    assigns wherever it accepts the range.  Ranges a few ULPs wide, on which
+    it refuses, repeat edges and leave bins empty.  A zero-width range gives
+    distortion 0.
+    """
+    lo = np.minimum(a.min(axis=1), b.min(axis=1))
+    hi = np.maximum(a.max(axis=1), b.max(axis=1))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("coefficients must be finite")
+    out = np.zeros(a.shape[0])
+    live = hi > lo  # zero-width rows stay out: a zero step changes linspace's arithmetic for all rows
+    if live.any():
+        inner = np.linspace(lo[live], hi[live], bins + 1, axis=-1)[:, None, 1:-1]
+        # cumulative bin counts: values below each inner edge
+        fa = np.count_nonzero(a[live][:, :, None] < inner, axis=1) / a.shape[1]
+        fb = np.count_nonzero(b[live][:, :, None] < inner, axis=1) / b.shape[1]
+        out[live] = np.max(np.abs(fb - fa), axis=1, initial=0.0)
+    return out
 
 
 def block_distortion(coeffs_test: np.ndarray, coeffs_ref: np.ndarray, bins: int) -> float:
@@ -114,19 +167,12 @@ def block_distortion(coeffs_test: np.ndarray, coeffs_ref: np.ndarray, bins: int)
     b = np.asarray(coeffs_ref, np.float64).ravel()
     if a.size != b.size:
         raise ValueError("coefficient matrices must have the same shape")
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi == lo:
-        return 0.0
-    ha, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    hb, _ = np.histogram(b, bins=bins, range=(lo, hi))
-    fa = np.cumsum(ha) / a.size
-    fb = np.cumsum(hb) / b.size
-    return float(np.max(np.abs(fb - fa)))
+    return float(_ks_distances(a[None], b[None], bins)[0])
 
 
 def block_scores(synth, ref, cfg: SwimConfig) -> np.ndarray:
-    """Per-block distortions over the non-overlapping block partition."""
+    """Per-block distortions over the non-overlapping block partition,
+    evaluated one block row at a time."""
     lum_s = luminance(synth)
     lum_r = luminance(ref)
     if lum_s.shape != lum_r.shape:
@@ -135,13 +181,15 @@ def block_scores(synth, ref, cfg: SwimConfig) -> np.ndarray:
     rows, cols = lum_s.shape[0] // n, lum_s.shape[1] // n
     if rows == 0 or cols == 0:
         raise ValueError("image smaller than one block")
-    scores = np.zeros((rows, cols))
+    starts = np.arange(cols) * n
+    scores = np.empty((rows, cols))
     for i in range(rows):
-        for j in range(cols):
-            matched, _ = best_match(lum_s, lum_r, i * n, j * n, cfg)
-            c_s = haar_row(lum_s[i * n : (i + 1) * n, j * n : (j + 1) * n])
-            c_o = haar_row(matched)
-            scores[i, j] = block_distortion(c_s, c_o, cfg.bins)
+        strip = slice(i * n, (i + 1) * n)
+        targets = lum_s[strip, : cols * n].reshape(n, cols, n).transpose(1, 0, 2)
+        matched, _ = _match_blocks(targets, lum_r[strip], starts, cfg.window)
+        c_s = haar_row(targets).reshape(cols, -1)
+        c_o = haar_row(matched).reshape(cols, -1)
+        scores[i] = _ks_distances(c_s, c_o, cfg.bins)
     return scores
 
 

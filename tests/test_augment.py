@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import contour_from_boundary_columns, textured_color
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import ApproxConfig, approximate_contour
 from contourcodec.augment import (
+    _fill_holes_row,
+    _warp,
     approximate_stereo,
     augment_color,
     augment_depth,
@@ -146,6 +150,132 @@ class TestWarp:
         out, _ = warp_view(DepthImage(depth), color, 1.0, 1, 1.0)
         # sources 1 (disp 2) and 2 (disp 1) both land on column 3
         assert out.pixels[0, 3, 0] == 1
+
+
+def _reference_warp(depth, color, alpha, direction, scale):
+    """The lexsort z-buffer: writes sorted so the larger disparity, then the
+    rightmost source, lands last."""
+    d = depth.pixels
+    h, w = d.shape
+    shifts = np.rint(alpha * d.astype(np.float64) * scale).astype(np.int64)
+    cols = np.arange(w)[None, :] + direction * shifts
+    rows = np.broadcast_to(np.arange(h)[:, None], (h, w))
+    inside = (cols >= 0) & (cols < w)
+    src_c = np.broadcast_to(np.arange(w)[None, :], (h, w))[inside]
+    disp = d[inside]
+    order = np.lexsort((src_c, disp))
+    tgt = rows[inside][order] * w + cols[inside][order]
+    out_d = np.zeros(h * w, d.dtype)
+    valid = np.zeros(h * w, bool)
+    out_d[tgt] = disp[order]
+    valid[tgt] = True
+    out_c = None
+    if color is not None:
+        out_c = np.zeros((h * w, 3), color.pixels.dtype)
+        out_c[tgt] = color.pixels[inside][order]
+        out_c = out_c.reshape(h, w, 3)
+    return out_d.reshape(h, w), out_c, valid.reshape(h, w)
+
+
+def _reference_fill_holes_row(colors, disp, valid):
+    """Walks each row's hole runs and copies the background-side donor."""
+    h, w = valid.shape
+    for r in range(h):
+        c = 0
+        while c < w:
+            if valid[r, c]:
+                c += 1
+                continue
+            c1 = c
+            while c1 < w and not valid[r, c1]:
+                c1 += 1
+            left = c - 1 if c > 0 else None
+            right = c1 if c1 < w else None
+            donor = None
+            if left is not None and right is not None:
+                donor = left if disp[r, left] <= disp[r, right] else right
+            elif left is not None:
+                donor = left
+            elif right is not None:
+                donor = right
+            if donor is not None:
+                colors[r, c:c1] = colors[r, donor]
+            c = c1
+
+
+def _reference_synthesize(left, right, alpha, scale):
+    """Masked per-case blend of the two reference warps, then the run walk."""
+    dl, cl, vl = _reference_warp(*left, alpha, -1, scale)
+    dr, cr, vr = _reference_warp(*right, 1.0 - alpha, 1, scale)
+    out = np.zeros_like(cl, np.float64)
+    both = vl & vr
+    out[both] = (1.0 - alpha) * cl[both] + alpha * cr[both]
+    out[vl & ~vr] = cl[vl & ~vr]
+    out[vr & ~vl] = cr[vr & ~vl]
+    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    _reference_fill_holes_row(out, np.where(vl, dl, dr), vl | vr)
+    return out
+
+
+class TestAgainstLoops:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+        levels=st.integers(1, 6),
+        alpha=st.floats(0.0, 1.0),
+        direction=st.sampled_from([-1, 1]),
+        scale=st.sampled_from([0.05, 0.1, 0.25, 1.0]),
+        with_color=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_warp(self, seed, shape, levels, alpha, direction, scale, with_color):
+        rng = np.random.default_rng(seed)
+        # few depth levels: many targets receive sources of different disparities
+        depth = DepthImage(rng.choice(rng.integers(0, 256, levels), size=shape).astype(np.uint8))
+        color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8)) if with_color else None
+        expected = _reference_warp(depth, color, alpha, direction, scale)
+        got = _warp(depth, color, alpha, direction, scale)
+        for g, e in zip(got, expected):
+            if e is None:
+                assert g is None
+                continue
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+        hole_rate=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        levels=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fill_holes_row(self, seed, shape, hole_rate, levels):
+        rng = np.random.default_rng(seed)
+        valid = rng.random(shape) >= hole_rate
+        disp = rng.integers(0, levels, shape).astype(np.uint8)  # equal disparities on both sides
+        colors = rng.integers(0, 256, shape + (3,), dtype=np.uint8)
+        expected = colors.copy()
+        _reference_fill_holes_row(expected, disp, valid)
+        _fill_holes_row(colors, disp, valid)
+        assert colors.dtype == expected.dtype and np.array_equal(colors, expected)
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+        alpha=st.floats(0.01, 0.99),
+        scale=st.sampled_from([0.05, 0.1, 0.25]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_synthesize_view(self, seed, shape, alpha, scale):
+        rng = np.random.default_rng(seed)
+        left, right = (
+            (
+                DepthImage(rng.choice(rng.integers(0, 256, 3), size=shape).astype(np.uint8)),
+                ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8)),
+            )
+            for _ in range(2)
+        )
+        expected = _reference_synthesize(left, right, alpha, scale)
+        assert np.array_equal(synthesize_view(left, right, alpha, scale).pixels, expected)
 
 
 class TestSynthesize:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import textured_color
-from contourcodec.image_io import ColorImage
+from contourcodec.augment import approximate_stereo, synthesize_view
+from contourcodec.config import PipelineConfig
+from contourcodec.image_io import ColorImage, SceneSpec, make_synthetic_scene
 from contourcodec.swim import (
     RowProxy,
     SwimConfig,
     best_match,
     block_distortion,
+    block_scores,
     haar_row,
     laplace_fit,
     laplace_ks,
@@ -119,8 +123,6 @@ class TestSwimScore:
         img = textured_color(rng, 40, 70)
         other = textured_color(np.random.default_rng(99), 40, 70)
         cfg = SwimConfig(block=16, window=2)
-        from contourcodec.swim import block_scores
-
         scores = block_scores(img, other, cfg)
         assert scores.shape == (40 // 16, 70 // 16)
         d, _ = swim_score(img, other, cfg)
@@ -146,6 +148,222 @@ class TestSwimScore:
         d_unmatched, _ = swim_score(shifted, ref, SwimConfig(block=16, window=0))
         assert d_unmatched > 0
         assert d_matched <= 0.05 * d_unmatched
+
+
+class TestNarrowRange:
+    # np.histogram refuses a joint range only a few ULPs wide ("Too many
+    # bins for data range"); the metric bins on its own edges instead
+    C = np.array([37.58979648787686, 37.58979648787687])
+
+    def test_identical_blocks_score_zero(self):
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(self.C, bins=2, range=(self.C.min(), self.C.max()))
+        assert block_distortion(self.C, self.C, 2) == 0.0
+
+    def test_different_blocks_score_in_unit_range(self):
+        other = np.full(2, self.C[0])
+        for bins in (1, 2, 3, 10):
+            assert 0.0 <= block_distortion(self.C, other, bins) <= 1.0
+        assert block_distortion(self.C, other, 2) > 0.0
+
+    def test_tiny_image_against_itself(self):
+        img = ColorImage(np.array([[[60, 120, 120], [0, 60, 120]], [[120, 60, 0], [60, 0, 0]]], np.uint8))
+        assert swim_score(img, img, SwimConfig(block=2, window=0, bins=2)) == (0.0, 1.0)
+
+    def test_palette_image_against_itself(self):
+        pix = np.random.default_rng(1).choice(np.array([0, 60, 120], np.uint8), size=(51, 76, 3))
+        img = ColorImage(pix)
+        assert swim_score(img, img, SwimConfig(block=2, window=0, bins=2)) == (0.0, 1.0)
+
+
+def _reference_best_match(synth_lum, ref_lum, row, col, cfg):
+    """The per-block search: one np.mean per shift, strict < in (|k|, k) order."""
+    n = cfg.block
+    h, w = synth_lum.shape
+    if not (0 <= row <= h - n and 0 <= col <= w - n):
+        raise ValueError("target block out of bounds")
+    target = synth_lum[row : row + n, col : col + n]
+    best = None
+    best_err = math.inf
+    for k in sorted(range(-cfg.window, cfg.window + 1), key=lambda k: (abs(k), k)):
+        c = col + k
+        if c < 0 or c + n > ref_lum.shape[1]:
+            continue
+        cand = ref_lum[row : row + n, c : c + n]
+        err = float(np.mean((cand - target) ** 2))
+        if err < best_err:
+            best_err = err
+            best = (cand, k)
+    if best is None:
+        raise ValueError("no in-bounds candidate block")
+    return best
+
+
+def _reference_block_distortion(coeffs_test, coeffs_ref, bins):
+    """KS distance of two np.histogram calls on the joint range."""
+    a = np.asarray(coeffs_test, np.float64).ravel()
+    b = np.asarray(coeffs_ref, np.float64).ravel()
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if hi == lo:
+        return 0.0
+    ha, _ = np.histogram(a, bins=bins, range=(lo, hi))
+    hb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    return float(np.max(np.abs(np.cumsum(hb) / b.size - np.cumsum(ha) / a.size)))
+
+
+def _reference_block_scores(synth, ref, cfg):
+    """The per-block loop block_scores replaced."""
+    lum_s = luminance(synth)
+    lum_r = luminance(ref)
+    n = cfg.block
+    rows, cols = lum_s.shape[0] // n, lum_s.shape[1] // n
+    if rows == 0 or cols == 0:
+        raise ValueError("image smaller than one block")
+    scores = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            matched, _ = _reference_best_match(lum_s, lum_r, i * n, j * n, cfg)
+            c_s = haar_row(lum_s[i * n : (i + 1) * n, j * n : (j + 1) * n])
+            scores[i, j] = _reference_block_distortion(c_s, haar_row(matched), cfg.bins)
+    return scores
+
+
+PALETTE = np.array([0, 60, 120], np.uint8)
+
+
+def _flat_against_periodic(rng, h, w):
+    """A constant test image and a reference whose period divides every
+    block size: every shift's squared errors are one multiset in another
+    order, so only the summation order separates them."""
+    period = 2 ** int(rng.integers(0, 4))
+    ref = np.tile(rng.integers(0, 256, (h, period, 3), dtype=np.uint8), (1, w // period + 1, 1))[:, :w]
+    return ColorImage(np.full((h, w, 3), rng.integers(0, 256, 3), np.uint8)), ColorImage(ref)
+
+
+@st.composite
+def image_pairs(draw):
+    """(test, reference) images of 1..80 pixels a side, most of them full of
+    ties: 3-level palettes, horizontally periodic tiles, rolled copies, flat
+    images against periodic ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h, w = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["noise", "palette", "tile", "rolled", "flat"]))
+    if kind == "flat":
+        return _flat_against_periodic(rng, h, w)
+    if kind == "noise":
+        return tuple(ColorImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8)) for _ in range(2))
+    if kind == "palette":
+        test = rng.choice(PALETTE, size=(h, w, 3))
+        ref = test.copy()
+        repaint = rng.random((h, w)) < rng.uniform(0.0, 0.3)
+        ref[repaint] = rng.choice(PALETTE, size=(int(repaint.sum()), 3))
+        return ColorImage(test), ColorImage(ref)
+    if kind == "tile":
+        period = int(rng.integers(1, 9))
+        test = np.tile(rng.choice(PALETTE, size=(h, period, 3)), (1, w // period + 1, 1))[:, :w]
+    else:
+        test = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    return ColorImage(test), ColorImage(np.roll(test, int(rng.integers(-12, 13)), axis=1))
+
+
+class TestAgainstPerBlockLoop:
+    @given(
+        pair=image_pairs(),
+        block=st.sampled_from([2, 4, 8, 16]),
+        window=st.integers(0, 12),
+        bins=st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_scores(self, pair, block, window, bins):
+        synth, ref = pair
+        cfg = SwimConfig(block=block, window=window, bins=bins)
+        try:
+            expected = _reference_block_scores(synth, ref, cfg)
+        except ValueError as exc:
+            if "smaller than one block" in str(exc):
+                with pytest.raises(ValueError, match="smaller than one block"):
+                    block_scores(synth, ref, cfg)
+            return  # otherwise a range np.histogram refuses
+        got = block_scores(synth, ref, cfg)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_summation_order_decides_ties(self):
+        # summation order picks the match, and changes the score, in about a
+        # fifth of these cases
+        rng = np.random.default_rng(7)
+        for case in range(48):
+            n = (2, 4, 8, 16)[case % 4]
+            synth, ref = _flat_against_periodic(rng, int(rng.integers(n, 40)), int(rng.integers(n, 60)))
+            cfg = SwimConfig(block=n, window=int(rng.integers(0, 13)), bins=int(rng.integers(1, 13)))
+            try:
+                expected = _reference_block_scores(synth, ref, cfg)
+            except ValueError:
+                continue  # a range np.histogram refuses
+            assert block_scores(synth, ref, cfg).tobytes() == expected.tobytes()
+
+    @given(
+        pair=image_pairs(),
+        block=st.sampled_from([2, 4, 8, 16]),
+        window=st.integers(0, 12),
+        at=st.tuples(st.integers(-2, 80), st.integers(-2, 80)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_best_match(self, pair, block, window, at):
+        lum_s, lum_r = luminance(pair[0]), luminance(pair[1])
+        cfg = SwimConfig(block=block, window=window)
+        try:
+            expected, shift = _reference_best_match(lum_s, lum_r, *at, cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                best_match(lum_s, lum_r, *at, cfg)
+            return
+        got, got_shift = best_match(lum_s, lum_r, *at, cfg)
+        assert got_shift == shift
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        size=st.integers(1, 60),
+        bins=st.integers(1, 12),
+        levels=st.integers(1, 6),
+        on_grid=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_distortion(self, seed, size, bins, levels, on_grid):
+        rng = np.random.default_rng(seed)
+        # few distinct values; small integers also fall on inner bin edges
+        values = rng.integers(-3, 4, size=levels).astype(float) if on_grid else rng.normal(size=levels)
+        a, b = rng.choice(values, size=(2, size))
+        try:
+            expected = _reference_block_distortion(a, b, bins)
+        except ValueError:
+            return  # a range np.histogram refuses
+        assert block_distortion(a, b, bins) == expected
+
+
+# sha256 of block_scores(view, reference).tobytes() for the README scene's
+# three synthesized views at lambda 2, recorded with the per-block loop
+README_VIEW_SCORES = {
+    0.25: "eb67962cf216f081082967f56ab052ecb558537e6e3e43efcd59c40bd3f88979",
+    0.5: "30399047dec5f69269bb4f702a2c58a7a8ba97ad8f7edf33123860339d276557",
+    0.75: "6b9538f0e0c207c17cfea0311c281a7bf477e3c8d1171ce51a2504ae5bd577bf",
+}
+
+
+def test_readme_view_block_scores_match_pinned_hashes():
+    """Bit-pins the metric on the README sweep's lambda-2 views; the CSV's
+    %.6g swim_d would hide last-bit drift."""
+    spec = SceneSpec(width=128, height=96, jitter=2, texture="noise")
+    left, right = make_synthetic_scene(2, spec)
+    cfg = PipelineConfig(seed=2)
+    stereo = approximate_stereo(left, right, cfg.approx_config(2.0), threshold=cfg.threshold, scale=spec.value_scale)
+    for alpha, digest in README_VIEW_SCORES.items():
+        reference = synthesize_view(left, right, alpha, spec.value_scale)
+        view = synthesize_view((stereo.left.depth, stereo.left.color), (stereo.right.depth, stereo.right.color), alpha, spec.value_scale)
+        scores = block_scores(view, reference, cfg.swim_config())
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
 
 class TestLaplace:
