@@ -241,17 +241,23 @@ def estimate_rate(contour: Contour, params: AecParams) -> float:
 
 
 class RangeEncoder:
-    """Range encoder keeping the full low value as an integer.
+    """Range encoder with a bounded ``low`` and LZMA-style carry handling.
 
-    Carries resolve exactly because ``low`` is never truncated; ``finish``
-    emits the shortest byte string whose zero-padded value falls in the final
-    interval.
+    ``low`` keeps 32 bits plus one carry bit.  Each byte shifted out of it
+    waits as the cache byte, with a count of 0xFF bytes behind it, until a
+    later byte proves no carry can reach them; a carry adds one to the cache
+    and turns the pending 0xFF bytes into zeros.  ``finish`` rounds ``low``
+    up to the shortest value inside the final interval, flushes it and drops
+    the leading cache byte and the trailing zeros, so a stream of n symbols
+    is coded in O(n).
     """
 
     def __init__(self):
         self._low = 0
         self._range = 1 << 32
-        self._bits = 32
+        self._cache = 0
+        self._pending = 0  # 0xFF bytes behind the cache byte
+        self._out = bytearray()
 
     def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
         r = self._range // total
@@ -261,14 +267,28 @@ class RangeEncoder:
         else:
             self._range = r * (cum_hi - cum_lo)
         while self._range < _TOP:
-            self._low <<= 8
+            self._shift_low()
             self._range <<= 8
-            self._bits += 8
+
+    def _shift_low(self) -> None:
+        low = self._low
+        if low < 0xFF000000 or low >> 32:
+            carry = low >> 32
+            self._out.append((self._cache + carry) & 0xFF)
+            if self._pending:
+                self._out += bytes(((0xFF + carry) & 0xFF,)) * self._pending
+                self._pending = 0
+            self._cache = (low >> 24) & 0xFF
+        else:
+            self._pending += 1
+        self._low = (low & 0xFFFFFF) << 8
 
     def finish(self) -> bytes:
         z = self._range.bit_length() - 1
-        value = ((self._low + (1 << z) - 1) >> z) << z
-        return value.to_bytes(self._bits // 8, "big").rstrip(b"\x00")
+        self._low = ((self._low + (1 << z) - 1) >> z) << z
+        for _ in range(5):
+            self._shift_low()
+        return bytes(self._out[1:]).rstrip(b"\x00")
 
 
 class RangeDecoder:

@@ -10,6 +10,19 @@ re-optimizing the pair inside their joint rectangle, plus the distortion of
 projecting out-of-rectangle original edges onto it, beats the pair's summed
 cost.
 
+The segment DP is table driven.  Which states exist, the order a DP first
+reaches them in (layer by layer, vertical move first) and each state's
+candidate parents in arrival order depend only on K, the segment's vertical
+and horizontal step counts and the prior window written over {vertical,
+horizontal, opposite vertical, opposite horizontal}, not on any cost.  That
+layer graph is built once per such key and kept in a memo that drops the
+least recently used graphs beyond 2^19 states in all; each call only fills
+a rate vector per (window, move) and a row-cost table per (row, column) and
+runs one gather, add and ``argmin`` per anti-diagonal.  ``argmin`` returns
+the first minimum, so a state keeps its first arrival unless a later one is
+strictly cheaper: the strict-``<``, first-inserted rule of a dict DP, which
+fixes the path among equal-cost ones.
+
 Rate terms are read from the coder's own context model
 (``aec.context_model``) and early-context rule (``aec.early_bits``), so what
 the DP minimizes is exactly what the coder will spend.
@@ -24,6 +37,8 @@ import logging
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .aec import AecParams, context_model, early_bits, estimate_rate
 from .contour import (
@@ -91,10 +106,30 @@ class _RowCosts:
             value = self._memo[key] = self.shift_cost(row, self._cols[row], q)
         return value
 
+    def grid(self, rows, columns) -> list:
+        """``cost(row, q)`` for every row and column, row-major, with each
+        row's window anchor computed once."""
+        out = []
+        for row in rows:
+            q_orig = self._cols[row]
+            anchor = self._anchor(q_orig)
+            for q in columns:
+                key = (row, q)
+                value = self._memo.get(key)
+                if value is None:
+                    value = self._memo[key] = self._shift(row, anchor, q_orig, q)
+                out.append(value)
+        return out
+
     def shift_cost(self, row: int, q_orig: int, q: int) -> float:
         """Cost of moving the edge in ``row`` from ``q_orig`` to ``q``, outside
         this table's memo (merging prices projected edges with it)."""
-        anchor = window_anchor(q_orig, self._proxy.lum.shape[1], self._swim.block)
+        return self._shift(row, self._anchor(q_orig), q_orig, q)
+
+    def _anchor(self, q_orig: int) -> int:
+        return window_anchor(q_orig, self._proxy.lum.shape[1], self._swim.block)
+
+    def _shift(self, row: int, anchor: int, q_orig: int, q: int) -> float:
         value = row_distortion(self._proxy, row, anchor, q_orig, q, self._swim)
         if self._weight:
             value += self._weight * (q - q_orig) ** 2
@@ -113,15 +148,21 @@ def row_cost_table(color, vertical_columns, cfg: ApproxConfig, penalty_weight: f
     return _RowCosts(row_proxy(color, cfg.swim), vertical_columns, cfg, penalty_weight)
 
 
+def _check_prior(prior: tuple, prior_count: int, k: int) -> None:
+    if len(prior) != min(prior_count, k):
+        raise ValueError(f"prior window of {len(prior)} directions does not fit prior_count {prior_count} at context length {k}")
+
+
 def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
     """Cost of one explicit candidate path, accumulated edge by edge in the
     same order the DP uses (so totals are bit-comparable).  Raises ValueError
     when an edge coded with a full context window doubles back."""
     k = cfg.aec.context_len
+    recent = tuple(prior_dirs)[-k:]
+    _check_prior(recent, prior_count, k)
     if rows is None:
         rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
     model = context_model(cfg.aec)
-    recent = tuple(prior_dirs)[-k:]
     total = 0.0
     rate = 0.0
     dist = 0.0
@@ -141,17 +182,143 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     return RdCost(dist, rate, total)
 
 
+# relative symbols of a layer-graph window: the segment's vertical and
+# horizontal direction, then their opposites (only a prior window holds those)
+_V, _H, _OPP_V, _OPP_H = range(4)
+_GRAPH_STATES = 1 << 19  # memo budget: about 8 MB of layer graphs
+
+
+def _interleave(vertical, horizontal) -> np.ndarray:
+    """Per-parent (vertical, horizontal) candidate values, flattened in
+    arrival order."""
+    out = np.empty((len(vertical), 2), np.result_type(vertical, horizontal))
+    out[:, 0] = vertical
+    out[:, 1] = horizontal
+    return out.ravel()
+
+
+class _LayerGraph:
+    """Cost-free state graph of the segment DP.
+
+    A state is (context window, head corner).  States are numbered
+    anti-diagonal by anti-diagonal (0 is the start corner) in the order a DP
+    that walks each layer's states in order, trying the vertical move before
+    the horizontal one, first reaches them.  Row ``s`` of ``parents`` holds
+    the candidate parents of state ``s`` in that arrival order, padded with
+    -1 (the index of an infinite-cost sentinel).  There are at most two:
+    parents of one state differ only in the symbol their window drops, a
+    move of the segment.  ``vertical`` flags the states entered by a
+    vertical move and ``cells`` indexes the per-segment row-cost vector for
+    that move (the last slot being the zero row cost of a horizontal move).
+    ``window_ids`` numbers the window of every state that is a parent in
+    ``windows`` (relative symbols, oldest first); end states read 0 and the
+    sentinel ``len(windows)``.  ``layers`` are the (start, stop) state
+    ranges of the anti-diagonals.
+    """
+
+    def __init__(self, k: int, v_count: int, h_count: int, prior: tuple):
+        width = h_count + 1
+        zero_slot = v_count * width
+        full = 4**k
+        size = len(prior)
+        # a window's symbols in base 4; its key adds 4**k times its length
+        codes = np.array([sum(s * 4**e for e, s in enumerate(reversed(prior)))])
+        ivert = np.zeros(1, np.intp)  # vertical moves made, per state
+        parents = [np.full((1, 2), -1)]
+        cells = [np.full(1, zero_slot)]
+        windows = [full * size + codes]
+        self.layers = []
+        stop = 1
+        for t in range(1, v_count + h_count + 1):
+            last = codes % 4 if size else np.full(codes.size, -1)
+            valid = _interleave((ivert != v_count) & (last != _OPP_V), (t - 1 - ivert != h_count) & (last != _OPP_H))
+            if not valid.any():
+                raise ValueError("unreachable endpoint: malformed segment")
+            parent = np.arange(stop - codes.size, stop).repeat(2)[valid]
+            cell = _interleave(ivert * width + t - 1 - ivert, zero_slot)[valid]
+            child_code = _interleave(codes * 4 % full + _V, codes * 4 % full + _H)[valid]
+            child_i = _interleave(ivert + 1, ivert)[valid]
+            keys, first, inverse = np.unique(child_code * (v_count + 1) + child_i, return_index=True, return_inverse=True)
+            order = np.argsort(first)  # children in order of first arrival
+            child = np.argsort(order)[inverse]
+            first = first[order]
+            second = np.flatnonzero(np.arange(child.size) != first[child])
+            table = np.full((order.size, 2), -1)
+            table[:, 0] = parent[first]
+            table[child[second], 1] = parent[second]
+            parents.append(table)
+            cells.append(cell[first])
+            codes, ivert = np.divmod(keys[order], v_count + 1)
+            size = min(size + 1, k)
+            windows.append(full * size + codes)
+            self.layers.append((stop, stop + order.size))
+            stop += order.size
+        self.parents = np.concatenate(parents).astype(np.int32)
+        self.cells = np.concatenate(cells).astype(np.int32)
+        self.vertical = self.cells != zero_slot
+        used, ids = np.unique(np.concatenate(windows[:-1]), return_inverse=True)
+        self.window_ids = np.zeros(stop + 1, np.int16)
+        self.window_ids[: ids.size] = ids
+        self.window_ids[-1] = used.size
+        self.windows = []
+        for key in used.tolist():
+            size, code = divmod(key, full)
+            self.windows.append(tuple((code >> (2 * e)) & 3 for e in reversed(range(size))))
+
+
+class _GraphMemo:
+    """Layer graphs by (K, V, H, relative prior window), built on first use.
+
+    Once the kept graphs hold more than ``budget`` states in all, the least
+    recently used ones are dropped (the newest is always kept); ``hits``,
+    ``misses`` and ``states`` count the memo's work and size.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.hits = self.misses = self.states = 0
+        self._graphs = {}
+
+    def __len__(self) -> int:
+        return len(self._graphs)
+
+    def __call__(self, k: int, v_count: int, h_count: int, prior: tuple) -> _LayerGraph:
+        key = (k, v_count, h_count, prior)
+        graph = self._graphs.pop(key, None)
+        if graph is None:
+            self.misses += 1
+            graph = _LayerGraph(*key)
+            self.states += graph.vertical.size
+        else:
+            self.hits += 1
+        self._graphs[key] = graph
+        while self.states > self.budget and len(self._graphs) > 1:
+            self.states -= self._graphs.pop(next(iter(self._graphs))).vertical.size
+        return graph
+
+
+layer_graph = _GraphMemo(_GRAPH_STATES)
+
+
 def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, prior_count: int | None = None, penalty_weight: float = 0.0, forbidden_last: str | None = None):
     """Minimize distortion + lambda*rate over all same-endpoint paths.
 
     ``prior_dirs`` are the directions already coded before this segment (the
     context seed); ``prior_count`` the number of contour edges preceding it
-    (defaults to len(prior_dirs)).  ``vertical_columns`` maps each pixel row
-    crossed by the original segment's vertical edges to the edge column.
-    ``forbidden_last`` excludes paths ending in that direction, so the next
-    segment of the contour can never be forced into a 180-degree turn.
-    ``color`` is the view's color image or a ``swim.RowProxy`` of it; callers
-    that approximate several segments of one image share one proxy.
+    (defaults to len(prior_dirs)); the last K prior directions must number
+    min(prior_count, K), else ValueError.  ``vertical_columns`` maps each
+    pixel row crossed by the original segment's vertical edges to the edge
+    column.  ``forbidden_last`` excludes paths ending in that direction, so
+    the next segment of the contour can never be forced into a 180-degree
+    turn.  ``color`` is the view's color image or a ``swim.RowProxy`` of it;
+    callers that approximate several segments of one image share one proxy.
+
+    The DP runs over the states of the segment's memoized ``_LayerGraph``,
+    one anti-diagonal at a time: a state's candidates cost ``(parent cost +
+    lambda * bits) + row cost`` and ``argmin`` keeps the first minimum in
+    arrival order, which is the rule of a dict DP that inserts a state on
+    its first arrival and replaces it only on a strictly smaller cost.  Ties
+    in the final layer go to the first state reached, too.
 
     Returns (approximated Segment, RdCost).
     """
@@ -159,6 +326,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     prior = tuple(prior_dirs)[-k:]
     if prior_count is None:
         prior_count = len(prior)
+    _check_prior(prior, prior_count, k)
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     missing = [r for r in _crossed_rows(seg) if r not in vertical_columns]
@@ -166,57 +334,55 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         raise ValueError(f"vertical_columns missing rows {missing}")
 
     dir_v, dir_h = seg.dirpair
-    p_end, q_end = segment_endpoint(seg)
-    rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
-    row_cost = rows.cost
+    absolute = (dir_v, dir_h, OPPOSITE[dir_v], OPPOSITE[dir_h])
+    v_count = seg.vertical_count
+    h_count = seg.length - v_count
+    graph = layer_graph(k, v_count, h_count, tuple(absolute.index(d) for d in prior))
+
     model = context_model(cfg.aec)
-    lagrange = cfg.lagrange
-    opp_v, opp_h = OPPOSITE[dir_v], OPPOSITE[dir_h]
+    bits = []
+    for window in graph.windows:
+        early = early_bits(len(window), k)
+        if early is None:
+            # a move back against the window's last direction is never taken
+            window_bits = model[tuple(absolute[s] for s in window)][0]
+            bits += [window_bits.get(dir_v, 0.0), window_bits.get(dir_h, 0.0)]
+        else:
+            bits += [early, early]
+    rate = np.append(cfg.lagrange * np.array(bits), [0.0, 0.0])  # the sentinel's window last
+
+    rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+    p0, q0 = seg.start
     dp_v = DIR_VECTOR[dir_v][0]
     dq_h = DIR_VECTOR[dir_h][1]
     row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
+    row_cost = np.zeros(v_count * (h_count + 1) + 1)
+    row_cost[:-1] = rows.grid(
+        [p0 + dp_v * i + row_offset for i in range(v_count)],
+        [q0 + dq_h * j for j in range(h_count + 1)],
+    )
 
-    layer = {(prior, seg.start[0], seg.start[1]): 0.0}
-    parents = []
-    for t in range(1, seg.length + 1):
-        nxt = {}
-        par = {}
-        early = early_bits(prior_count + t - 1, k)
-        for state, cost in layer.items():
-            recent, p, q = state
-            last = recent[-1] if recent else None
-            bits = None if early is not None else model[recent][0]
-            # vertical evaluated first (tie preference); a move into an
-            # occupied state must be strictly cheaper to replace it
-            if p != p_end and last != opp_v:
-                c = cost + lagrange * (early if bits is None else bits[dir_v])
-                c += row_cost(p + row_offset, q)
-                new = ((recent + (dir_v,))[-k:], p + dp_v, q)
-                old = nxt.get(new)
-                if old is None or c < old:
-                    nxt[new] = c
-                    par[new] = (state, dir_v)
-            if q != q_end and last != opp_h:
-                c = cost + lagrange * (early if bits is None else bits[dir_h])
-                new = ((recent + (dir_h,))[-k:], p, q + dq_h)
-                old = nxt.get(new)
-                if old is None or c < old:
-                    nxt[new] = c
-                    par[new] = (state, dir_h)
-        if not nxt:
-            raise ValueError("unreachable endpoint: malformed segment")
-        layer = nxt
-        parents.append(par)
+    vertical = graph.vertical
+    base = rate[2 * graph.window_ids[graph.parents] + ~vertical[:, None]]
+    edge_rows = row_cost[graph.cells][:, None]
+    cost = np.empty(len(vertical) + 1)
+    cost[0] = 0.0
+    cost[-1] = math.inf
+    pick = np.zeros(len(vertical), np.intp)
+    for lo, hi in graph.layers:
+        cand = cost[graph.parents[lo:hi]] + base[lo:hi]
+        cand += edge_rows[lo:hi]
+        pick[lo:hi] = cand.argmin(axis=1)
+        cost[lo:hi] = cand.min(axis=1)
 
-    best_state = None
-    best_cost = math.inf
-    for state, cost in layer.items():
-        if forbidden_last is not None and state[0] and state[0][-1] == forbidden_last:
-            continue
-        if cost < best_cost:
-            best_cost = cost
-            best_state = state
-    if best_state is None or math.isinf(best_cost):
+    lo, hi = graph.layers[-1]
+    final = cost[lo:hi].copy()
+    if forbidden_last == dir_v:
+        final[vertical[lo:hi]] = math.inf
+    elif forbidden_last == dir_h:
+        final[~vertical[lo:hi]] = math.inf
+    best = int(final.argmin())
+    if math.isinf(final[best]):
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
@@ -224,10 +390,10 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
-    state = best_state
-    for par in reversed(parents):
-        state, d = par[state]
-        dirs.append(d)
+    state = lo + best
+    while state:
+        dirs.append(dir_v if vertical[state] else dir_h)
+        state = int(graph.parents[state, pick[state]])
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
     cost = segment_path_cost(result, dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)

@@ -190,12 +190,6 @@ def warp_view(depth: DepthImage, color: ColorImage, alpha: float, direction: int
     return ColorImage(out_c), ~valid
 
 
-def warp_depth(depth: DepthImage, alpha: float, direction: int, scale: float = 1.0):
-    """Forward-warp the depth map itself. Returns (DepthImage, hole mask)."""
-    out_d, _, valid = _warp(depth, None, alpha, direction, scale)
-    return DepthImage(out_d), ~valid
-
-
 def _fill_holes_row(colors: np.ndarray, disp: np.ndarray, valid: np.ndarray) -> None:
     """Fill hole runs from whichever side has the smaller (background)
     disparity, constant along the run; edits in place.  Rows without a

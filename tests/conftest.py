@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from contourcodec.contour import ABSOLUTE, OPPOSITE, Contour, to_relative
 from contourcodec.image_io import ColorImage
+
+# one profile for every property test: example timings on a small shared
+# machine vary too much for hypothesis' per-example deadline
+settings.register_profile("contourcodec", deadline=None)
+settings.load_profile("contourcodec")
 
 
 def random_contour(rng: np.random.Generator, length: int, start=(200, 200)) -> Contour:

@@ -4,12 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_contour
 from contourcodec import aec
 from contourcodec.aec import (
     AecParams,
     BitstreamError,
+    RangeEncoder,
     DegenerateContextError,
     PROB_FLOOR,
     context_model,
@@ -259,3 +262,67 @@ class TestCodec:
         data = encode([c], AecParams())
         other = decode(data, AecParams(kappa=0.3, omega=4.0))
         assert other[0].start == c.start and len(other[0]) == len(c)
+
+
+class ReferenceRangeEncoder:
+    """The former encoder, kept as the reference: the full ``low`` as one
+    integer, shifted left per output byte (quadratic in stream length)."""
+
+    def __init__(self):
+        self._low = 0
+        self._range = 1 << 32
+        self._bits = 32
+
+    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
+        r = self._range // total
+        self._low += r * cum_lo
+        if cum_hi == total:
+            self._range -= r * cum_lo
+        else:
+            self._range = r * (cum_hi - cum_lo)
+        while self._range < aec._TOP:
+            self._low <<= 8
+            self._range <<= 8
+            self._bits += 8
+
+    def finish(self) -> bytes:
+        z = self._range.bit_length() - 1
+        value = ((self._low + (1 << z) - 1) >> z) << z
+        return value.to_bytes(self._bits // 8, "big").rstrip(b"\x00")
+
+
+# cumulative bounds that force long runs of shifted bytes, 0xFF runs and
+# carries: a symbol of width 5 or 1, and the even split the early positions use
+EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), context_model(AecParams()).early_cum]
+
+
+@st.composite
+def coded_symbols(draw):
+    """(cumulative bounds, symbol) pairs over extreme and random tables."""
+    random_cums = draw(st.lists(st.tuples(st.integers(1, 65533), st.integers(1, 65533)), max_size=2))
+    cums = EXTREME_CUMS + [(0, min(a, b), max(a, b) + 1, 65536) for a, b in random_cums]
+    return draw(st.lists(st.tuples(st.sampled_from(cums), st.integers(0, 2)), max_size=400))
+
+
+class TestRangeEncoder:
+    @settings(max_examples=300)
+    @given(coded_symbols())
+    def test_same_bytes_as_reference(self, symbols):
+        new, ref = RangeEncoder(), ReferenceRangeEncoder()
+        for cum, sym in symbols:
+            new.encode(cum[sym], cum[sym + 1], 65536)
+            ref.encode(cum[sym], cum[sym + 1], 65536)
+        assert new.finish() == ref.finish()
+
+    def test_long_carry_chains_match_reference(self):
+        # the widest symbol right after a run of narrow ones pushes a carry
+        # through every pending 0xFF byte
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            new, ref = RangeEncoder(), ReferenceRangeEncoder()
+            for _ in range(int(rng.integers(100, 3000))):
+                cum = EXTREME_CUMS[int(rng.integers(0, 4))]
+                sym = int(rng.choice(3, p=[0.05, 0.05, 0.9]))
+                new.encode(cum[sym], cum[sym + 1], 65536)
+                ref.encode(cum[sym], cum[sym + 1], 65536)
+            assert new.finish() == ref.finish()

@@ -1,13 +1,20 @@
+import logging
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import textured_color
-from contourcodec.aec import AecParams, estimate_rate
+from contourcodec.aec import AecParams, context_model, early_bits, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
+    RdCost,
+    _crossed_rows,
+    _GraphMemo,
+    _LayerGraph,
     approximate_contour,
     approximate_segment,
     merge_segments,
@@ -16,14 +23,17 @@ from contourcodec.approx import (
     segment_path_cost,
 )
 from contourcodec.contour import (
+    DIR_VECTOR,
+    OPPOSITE,
     Contour,
     Segment,
+    crack,
     detect_contours,
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
 )
-from contourcodec.image_io import DepthImage
+from contourcodec.image_io import ColorImage, DepthImage
 from contourcodec.swim import SwimConfig, row_distortion
 
 SMALL = dict(aec=AecParams(), swim=SwimConfig(block=8, window=4))
@@ -62,6 +72,222 @@ def brute_force_minimum(seg, prior, prior_count, color, cols, cfg, penalty_weigh
         if cost.total < best:
             best = cost.total
     return best
+
+
+logger = logging.getLogger(__name__)
+
+
+def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, prior_count: int | None = None, penalty_weight: float = 0.0, forbidden_last: str | None = None):
+    """The former dict-of-(window, p, q) DP, kept as the reference for the
+    table-driven one: states are inserted on first arrival, vertical move
+    first, and replaced only by a strictly cheaper arrival.
+
+    ``prior_dirs`` are the directions already coded before this segment (the
+    context seed); ``prior_count`` the number of contour edges preceding it
+    (defaults to len(prior_dirs)).  ``vertical_columns`` maps each pixel row
+    crossed by the original segment's vertical edges to the edge column.
+    ``forbidden_last`` excludes paths ending in that direction, so the next
+    segment of the contour can never be forced into a 180-degree turn.
+    ``color`` is the view's color image or a ``swim.RowProxy`` of it; callers
+    that approximate several segments of one image share one proxy.
+
+    Returns (approximated Segment, RdCost).
+    """
+    k = cfg.aec.context_len
+    prior = tuple(prior_dirs)[-k:]
+    if prior_count is None:
+        prior_count = len(prior)
+    if seg.length == 0:
+        return seg, RdCost(0.0, 0.0, 0.0)
+    missing = [r for r in _crossed_rows(seg) if r not in vertical_columns]
+    if missing:
+        raise ValueError(f"vertical_columns missing rows {missing}")
+
+    dir_v, dir_h = seg.dirpair
+    p_end, q_end = segment_endpoint(seg)
+    rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+    row_cost = rows.cost
+    model = context_model(cfg.aec)
+    lagrange = cfg.lagrange
+    opp_v, opp_h = OPPOSITE[dir_v], OPPOSITE[dir_h]
+    dp_v = DIR_VECTOR[dir_v][0]
+    dq_h = DIR_VECTOR[dir_h][1]
+    row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
+
+    layer = {(prior, seg.start[0], seg.start[1]): 0.0}
+    parents = []
+    for t in range(1, seg.length + 1):
+        nxt = {}
+        par = {}
+        early = early_bits(prior_count + t - 1, k)
+        for state, cost in layer.items():
+            recent, p, q = state
+            last = recent[-1] if recent else None
+            bits = None if early is not None else model[recent][0]
+            # vertical evaluated first (tie preference); a move into an
+            # occupied state must be strictly cheaper to replace it
+            if p != p_end and last != opp_v:
+                c = cost + lagrange * (early if bits is None else bits[dir_v])
+                c += row_cost(p + row_offset, q)
+                new = ((recent + (dir_v,))[-k:], p + dp_v, q)
+                old = nxt.get(new)
+                if old is None or c < old:
+                    nxt[new] = c
+                    par[new] = (state, dir_v)
+            if q != q_end and last != opp_h:
+                c = cost + lagrange * (early if bits is None else bits[dir_h])
+                new = ((recent + (dir_h,))[-k:], p, q + dq_h)
+                old = nxt.get(new)
+                if old is None or c < old:
+                    nxt[new] = c
+                    par[new] = (state, dir_h)
+        if not nxt:
+            raise ValueError("unreachable endpoint: malformed segment")
+        layer = nxt
+        parents.append(par)
+
+    best_state = None
+    best_cost = math.inf
+    for state, cost in layer.items():
+        if forbidden_last is not None and state[0] and state[0][-1] == forbidden_last:
+            continue
+        if cost < best_cost:
+            best_cost = cost
+            best_state = state
+    if best_state is None or math.isinf(best_cost):
+        # reachable when a projected merge candidate leaves no finite path;
+        # callers reject the infinite cost
+        logger.debug("every candidate path has infinite distortion; keeping the original segment")
+        original = segment_path_cost(seg, seg.dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
+        return seg, RdCost(math.inf, original.rate, math.inf)
+
+    dirs = []
+    state = best_state
+    for par in reversed(parents):
+        state, d = par[state]
+        dirs.append(d)
+    dirs.reverse()
+    result = Segment(seg.start, seg.dirpair, "".join(dirs))
+    cost = segment_path_cost(result, dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
+    return result, cost
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Segment DP inputs where many paths cost the same: mostly flat color
+    (every finite row cost 0), lambda 0 or > 0, K 1-5, prior windows that
+    may block the first move, forbidden last moves, penalty weights, and
+    match windows narrow enough (or original columns far enough away) for
+    infinite row costs."""
+    k = draw(st.integers(1, 5))
+    dir_v, dir_h = draw(st.sampled_from("SN")), draw(st.sampled_from("EW"))
+    v = draw(st.integers(0, 6))
+    h = draw(st.integers(0 if v else 1, 6))
+    dirs = draw(st.permutations([dir_v] * v + [dir_h] * h))
+    seg = Segment((draw(st.integers(12, 24)), draw(st.integers(16, 30))), (dir_v, dir_h), "".join(dirs))
+    cols = segment_vertical_columns(seg)
+    if draw(st.booleans()):
+        cols = {row: col + draw(st.integers(-7, 7)) for row, col in cols.items()}
+    prior_count = draw(st.integers(0, 7))
+    prior = tuple(draw(st.lists(st.sampled_from("NESW"), min_size=min(prior_count, k), max_size=min(prior_count, k))))
+    seed = draw(st.integers(0, 2**16))
+    color = ColorImage(np.full((40, 48, 3), 90, np.uint8)) if draw(st.integers(0, 3)) else textured_color(np.random.default_rng(seed), 40, 48)
+    cfg = ApproxConfig(
+        lagrange=draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])),
+        aec=AecParams(context_len=k),
+        swim=SwimConfig(block=8, window=draw(st.sampled_from([1, 2, 4, 10]))),
+    )
+    options = dict(
+        prior_count=prior_count,
+        penalty_weight=draw(st.sampled_from([0.0, 1.0, 1e6])),
+        forbidden_last=draw(st.sampled_from([None, "N", "E", "S", "W"])),
+    )
+    return (seg, prior, color, cols, cfg), options
+
+
+def _outcome(dp, args, options):
+    try:
+        seg, cost = dp(*args, **options)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return seg, repr(cost)
+
+
+class TestTieRule:
+    """The table-driven DP against the dict DP it replaced: same path and
+    repr-equal cost (or the same error) where ties abound."""
+
+    @settings(max_examples=400)
+    @given(tie_heavy_cases())
+    def test_same_path_and_cost_as_dict_dp(self, case):
+        args, options = case
+        assert _outcome(approximate_segment, args, options) == _outcome(dict_dp_segment, args, options)
+
+    def test_flat_staircases_break_ties_like_dict_dp(self):
+        flat = ColorImage(np.full((40, 48, 3), 90, np.uint8))
+        for k in range(1, 6):
+            cfg = ApproxConfig(aec=AecParams(context_len=k), swim=SwimConfig(block=8, window=4))
+            for dirs in ("SESESE", "EESSSE", "SSSEEE", "ESESSE"):
+                seg = Segment((16, 20), ("S", "E"), dirs)
+                cols = segment_vertical_columns(seg)
+                for prior in ((), ("E",) * k, ("S",) * k):
+                    args = (seg, prior, flat, cols, cfg)
+                    for forbidden in (None, "S", "E"):
+                        options = dict(forbidden_last=forbidden)
+                        assert _outcome(approximate_segment, args, options) == _outcome(dict_dp_segment, args, options)
+
+
+class TestGraphMemo:
+    def test_least_recently_used_graphs_go_first(self):
+        keys = [(3, 2, 2, ()), (3, 4, 4, ()), (3, 1, 1, ())]
+        small, large, tiny = (_LayerGraph(*key).vertical.size for key in keys)
+        memo = _GraphMemo(budget=small + large)
+        first = memo(*keys[0])
+        memo(*keys[1])
+        assert memo(*keys[0]) is first  # a hit, and now the most recent
+        memo(*keys[2])  # over budget: the large graph, least recently used, goes
+        assert (memo.hits, memo.misses, len(memo), memo.states) == (1, 3, 2, small + tiny)
+        assert memo(*keys[0]) is first
+
+    def test_graph_over_budget_is_still_served(self):
+        memo = _GraphMemo(budget=10)
+        memo(3, 1, 1, ())
+        graph = memo(3, 6, 6, ())
+        assert len(memo) == 1 and memo.states == graph.vertical.size > 10
+
+
+class TestPriorWindow:
+    """The last K prior directions must number min(prior_count, K)."""
+
+    def test_short_prior_window_rejected(self, rng):
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 20), ("S", "E"), "SESE")
+        cols = segment_vertical_columns(seg)
+        params = AecParams(context_len=3, kappa=2.5)  # a model no other test fills
+        cfg = ApproxConfig(lagrange=1.0, aec=params, swim=SwimConfig(block=8, window=4))
+        with pytest.raises(ValueError, match="prior window"):
+            approximate_segment(seg, ("S",), color, cols, cfg, prior_count=5)
+        with pytest.raises(ValueError, match="prior window"):
+            segment_path_cost(seg, seg.dirs, ("S",), 5, color, cols, cfg)
+        assert not any(len(window) < 3 for window in context_model(params))
+
+    def test_empty_prior_with_full_count_rejected(self, rng):
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 20), ("S", "E"), "SESE")
+        cols = segment_vertical_columns(seg)
+        cfg = small_cfg(1.0)
+        with pytest.raises(ValueError, match="prior window"):
+            approximate_segment(seg, (), color, cols, cfg, prior_count=3)
+        with pytest.raises(ValueError, match="prior window"):
+            segment_path_cost(seg, seg.dirs, (), 4, color, cols, cfg)
+
+    def test_long_prior_is_cut_to_the_window(self, rng):
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 20), ("S", "E"), "SESE")
+        cols = segment_vertical_columns(seg)
+        cfg = small_cfg(1.0)
+        full = approximate_segment(seg, ("E", "E", "S", "E", "S"), color, cols, cfg, prior_count=9)
+        assert full == approximate_segment(seg, ("S", "E", "S"), color, cols, cfg, prior_count=9)
 
 
 class TestApproximateSegment:

@@ -69,7 +69,7 @@ def test_doubling_back_rejected():
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 120))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_relative_absolute_roundtrip(seed, length):
     c = random_contour(np.random.default_rng(seed), length)
     assert to_relative(c.start, c.absolute_dirs()) == c
@@ -90,7 +90,7 @@ def test_split_two_direction_contour_is_one_segment():
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_split_concat_identity(seed, length):
     c = random_contour(np.random.default_rng(seed), length)
     segs = split_segments(c)
@@ -100,7 +100,7 @@ def test_split_concat_identity(seed, length):
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 150))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_split_segments_are_maximal(seed, length):
     # every boundary must be a genuine violation: the next segment's first
     # direction cannot coexist with the directions already used before it
@@ -124,7 +124,7 @@ def test_segment_endpoint_degenerate_axes():
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 120))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_segment_endpoint_matches_walk(seed, length):
     c = random_contour(np.random.default_rng(seed), length)
     for seg in split_segments(c):
@@ -152,7 +152,7 @@ def test_crack_is_the_same_walked_backwards(p, q, d):
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_cracks_of_a_chain_index_into_edge_maps(seed, length):
     # shift a random chain so that its bounding box is the whole h x w lattice
     c = random_contour(np.random.default_rng(seed), length)

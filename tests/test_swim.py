@@ -47,7 +47,7 @@ class TestHaar:
             haar_row([1.0, 2.0, 3.0])
 
     @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_linearity(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=8)
@@ -274,7 +274,7 @@ class TestAgainstPerBlockLoop:
         window=st.integers(0, 12),
         bins=st.integers(1, 12),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_block_scores(self, pair, block, window, bins):
         synth, ref = pair
         cfg = SwimConfig(block=block, window=window, bins=bins)
@@ -309,7 +309,7 @@ class TestAgainstPerBlockLoop:
         window=st.integers(0, 12),
         at=st.tuples(st.integers(-2, 80), st.integers(-2, 80)),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_best_match(self, pair, block, window, at):
         lum_s, lum_r = luminance(pair[0]), luminance(pair[1])
         cfg = SwimConfig(block=block, window=window)
@@ -330,7 +330,7 @@ class TestAgainstPerBlockLoop:
         levels=st.integers(1, 6),
         on_grid=st.booleans(),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_block_distortion(self, seed, size, bins, levels, on_grid):
         rng = np.random.default_rng(seed)
         # few distinct values; small integers also fall on inner bin edges
@@ -401,7 +401,7 @@ class TestLaplace:
             laplace_ks(-1.0, 1.0)
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_ks_symmetry_and_range(self, a, b):
         v = laplace_ks(a, b)
         assert v == laplace_ks(b, a)
@@ -505,7 +505,7 @@ class TestRowProxy:
         window=st.integers(0, 6),
         windows=st.lists(st.tuples(st.integers(-2, 7), st.integers(-3, 40)), min_size=1, max_size=12),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_raw_slices(self, seed, height, width, block, window, windows):
         rng = np.random.default_rng(seed)
         img = ColorImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
