@@ -89,22 +89,18 @@ class RdCost:
 
 class _RowCosts:
     """Shifted-edge costs on one view: row distortion plus the inter-view
-    penalty weight*shift^2, memoized by (row, column) for one segment's
-    vertical edges."""
+    penalty weight*shift^2, for one segment's vertical edges.  Nothing is
+    memoized here: the row proxy already keeps every distortion of the
+    contour."""
 
     def __init__(self, proxy: RowProxy, vertical_columns, cfg: ApproxConfig, penalty_weight: float):
         self._proxy = proxy
         self._cols = vertical_columns
         self._swim = cfg.swim
         self._weight = penalty_weight
-        self._memo = {}
 
     def cost(self, row: int, q: int) -> float:
-        key = (row, q)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = self.shift_cost(row, self._cols[row], q)
-        return value
+        return self.shift_cost(row, self._cols[row], q)
 
     def grid(self, rows, columns) -> list:
         """``cost(row, q)`` for every row and column, row-major, with each
@@ -113,17 +109,12 @@ class _RowCosts:
         for row in rows:
             q_orig = self._cols[row]
             anchor = self._anchor(q_orig)
-            for q in columns:
-                key = (row, q)
-                value = self._memo.get(key)
-                if value is None:
-                    value = self._memo[key] = self._shift(row, anchor, q_orig, q)
-                out.append(value)
+            out += [self._shift(row, anchor, q_orig, q) for q in columns]
         return out
 
     def shift_cost(self, row: int, q_orig: int, q: int) -> float:
-        """Cost of moving the edge in ``row`` from ``q_orig`` to ``q``, outside
-        this table's memo (merging prices projected edges with it)."""
+        """Cost of moving the edge in ``row`` from ``q_orig`` to ``q``, for
+        any original column (merging prices projected edges with it)."""
         return self._shift(row, self._anchor(q_orig), q_orig, q)
 
     def _anchor(self, q_orig: int) -> int:
@@ -148,9 +139,15 @@ def row_cost_table(color, vertical_columns, cfg: ApproxConfig, penalty_weight: f
     return _RowCosts(row_proxy(color, cfg.swim), vertical_columns, cfg, penalty_weight)
 
 
-def _check_prior(prior: tuple, prior_count: int, k: int) -> None:
+def _check_prior(prior_dirs, prior_count: int | None, k: int) -> tuple:
+    """(last K prior directions, prior edge count), the count defaulting to
+    their number; they must number min(prior_count, K), else ValueError."""
+    prior = tuple(prior_dirs)[-k:]
+    if prior_count is None:
+        prior_count = len(prior)
     if len(prior) != min(prior_count, k):
         raise ValueError(f"prior window of {len(prior)} directions does not fit prior_count {prior_count} at context length {k}")
+    return prior, prior_count
 
 
 def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
@@ -158,8 +155,7 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     same order the DP uses (so totals are bit-comparable).  Raises ValueError
     when an edge coded with a full context window doubles back."""
     k = cfg.aec.context_len
-    recent = tuple(prior_dirs)[-k:]
-    _check_prior(recent, prior_count, k)
+    recent, prior_count = _check_prior(prior_dirs, prior_count, k)
     if rows is None:
         rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
     model = context_model(cfg.aec)
@@ -323,10 +319,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     Returns (approximated Segment, RdCost).
     """
     k = cfg.aec.context_len
-    prior = tuple(prior_dirs)[-k:]
-    if prior_count is None:
-        prior_count = len(prior)
-    _check_prior(prior, prior_count, k)
+    prior, prior_count = _check_prior(prior_dirs, prior_count, k)
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     missing = [r for r in _crossed_rows(seg) if r not in vertical_columns]
@@ -439,29 +432,18 @@ def project_onto_rectangle(a: Segment, b: Segment):
     return Segment(l0, (dir_v, dir_h), "".join(dirs)), shifts
 
 
-def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, prior_count: int | None = None, cost_a: RdCost | None = None, cost_b: RdCost | None = None, next_dir: str | None = None, penalty_weight: float = 0.0):
+def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, cost_a: RdCost, cost_b: RdCost, prior_count: int | None = None, next_dir: str | None = None, penalty_weight: float = 0.0):
     """Try to replace two adjacent segments by one re-optimized segment.
 
-    Returns (projected Segment, merged Segment, RdCost including the merge
-    distortion) when the merge strictly lowers the summed cost, else None; the
-    projected segment is the pair on its joint rectangle, the original that
-    later merges re-optimize.  When per-segment costs are not supplied they
-    are computed here with the same configuration.
+    ``cost_a`` and ``cost_b`` are the pair's current costs, as the segment DP
+    priced them in the contour.  Returns (projected Segment, merged Segment,
+    RdCost including the merge distortion) when the merge strictly lowers
+    their sum, else None; the projected segment is the pair on its joint
+    rectangle, the original that later merges re-optimize.  An inconsistent
+    prior window raises ValueError, as in ``approximate_segment``.
     """
+    prior, prior_count = _check_prior(prior_dirs, prior_count, cfg.aec.context_len)
     proxy = row_proxy(color, cfg.swim)
-    k = cfg.aec.context_len
-    prior = tuple(prior_dirs)[-k:]
-    if prior_count is None:
-        prior_count = len(prior)
-    if cost_a is None or cost_b is None:
-        a_seg, cost_a = approximate_segment(
-            a, prior, proxy, segment_vertical_columns(a), cfg,
-            prior_count=prior_count, penalty_weight=penalty_weight,
-            forbidden_last=OPPOSITE[b.dirs[0]],
-        )
-        prior_b = (prior + tuple(a_seg.dirs))[-k:]
-        _, cost_b = approximate_segment(b, prior_b, proxy, segment_vertical_columns(b), cfg, prior_count=prior_count + a.length, penalty_weight=penalty_weight)
-
     projection = project_onto_rectangle(a, b)
     if projection is None:
         return None

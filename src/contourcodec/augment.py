@@ -15,6 +15,7 @@ z-buffer, ties go to the rightmost source pixel.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +241,7 @@ class ViewResult:
     original_contours: list
     contours: list  # approximated
     costs: list  # RdCost per contour
+    detect_s: float  # wall time of the contour detection
 
 
 @dataclass
@@ -253,7 +255,9 @@ class StereoResult:
 
 
 def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, threshold: int, penalty_weight: float) -> ViewResult:
+    start = time.perf_counter()
     contours = detect_contours(depth, threshold)
+    detect_s = time.perf_counter() - start
     out_d, out_c = depth, color
     approximated = []
     costs = []
@@ -264,7 +268,7 @@ def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, t
             out_c = augment_color(out_c, mask)
         approximated.append(ac)
         costs.append(cost)
-    return ViewResult(out_d, out_c, contours, approximated, costs)
+    return ViewResult(out_d, out_c, contours, approximated, costs, detect_s)
 
 
 def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int = 30, scale: float = 1.0) -> StereoResult:

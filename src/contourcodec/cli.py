@@ -14,13 +14,14 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import aec
 from .augment import approximate_stereo, synthesize_view
-from .config import PipelineConfig, load_config, with_overrides
+from .config import PipelineConfig, load_config
 from .contour import detect_contours, format_contours, parse_contours
 from .image_io import (
     ColorImage,
@@ -57,7 +58,7 @@ def _load_pair(depth_path, color_path):
 def _read_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = with_overrides(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -139,18 +140,15 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
     for lam in lambdas:
         try:
             t0 = time.perf_counter()
-            detect_contours(left[0], cfg.threshold)
-            detect_contours(right[0], cfg.threshold)
-            t1 = time.perf_counter()
             stereo = approximate_stereo(
                 left, right, cfg.approx_config(lam), threshold=cfg.threshold, scale=scale
             )
-            t2 = time.perf_counter()
+            t1 = time.perf_counter()
             bits = 8 * (
                 len(aec.encode(stereo.left.contours, cfg.aec_params()))
                 + len(aec.encode(stereo.right.contours, cfg.aec_params()))
             )
-            t3 = time.perf_counter()
+            t2 = time.perf_counter()
             mod_left = (stereo.left.depth, stereo.left.color)
             mod_right = (stereo.right.depth, stereo.right.color)
             d_values = []
@@ -160,10 +158,11 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
                 d, _ = swim_score(synth, references[a], cfg.swim_config())
                 d_values.append(d)
                 psnr_values.append(psnr(synth, references[a]))
-            t4 = time.perf_counter()
+            t3 = time.perf_counter()
             d_avg = sum(d_values) / len(d_values)
             score = 1.0 / (1.0 + d_avg)
-            times = (t1 - t0, t2 - t1, t3 - t2, t4 - t3) if timing else (0.0,) * 4
+            detect = stereo.left.detect_s + stereo.right.detect_s
+            times = (detect, t1 - t0 - detect, t2 - t1, t3 - t2) if timing else (0.0,) * 4
             lines.append(
                 f"{lam:g},{bits},{stereo.total_distortion:.6g},{d_avg:.6g},{score:.6g},"
                 f"{sum(psnr_values) / len(psnr_values):.6g},"

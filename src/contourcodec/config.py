@@ -3,16 +3,18 @@
 File keys follow the knob names used throughout: kappa, omega, K (context
 length), W (match half-window), N (block size), L (histogram bins), D0
 (distortion normalizer, "auto" = block count), rho (inter-view penalty),
-threshold (edge detection), disparity_scale, alphas, lambdas, seed, merge.
-Lines are ``key = value``; '#' starts a comment.
+threshold (edge detection), disparity_scale, alphas, lambdas, seed, merge
+(1/0, true/false, yes/no or on/off, in any case).  Lines are ``key = value``;
+'#' starts a comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .aec import AecParams
 from .approx import ApproxConfig
+from .image_io import parse_key_values
 from .swim import SwimConfig
 
 
@@ -49,56 +51,47 @@ class PipelineConfig:
         )
 
 
-_KEYS = {
-    "kappa": "kappa",
-    "omega": "omega",
-    "K": "context",
-    "W": "window",
-    "N": "block",
-    "L": "bins",
-    "D0": "norm",
-    "rho": "rho",
-    "threshold": "threshold",
-    "disparity_scale": "disparity_scale",
-    "alphas": "alphas",
-    "lambdas": "lambdas",
-    "seed": "seed",
-    "merge": "merge",
-}
+def _norm(text: str) -> float | None:
+    return None if text.lower() in ("auto", "none") else float(text)
 
-_INT_FIELDS = {"context", "window", "block", "bins", "threshold", "seed"}
-_FLOAT_FIELDS = {"kappa", "omega", "rho", "disparity_scale"}
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in _FLAGS:
+        raise ValueError(f"expected one of {', '.join(_FLAGS)}")
+    return _FLAGS[text.lower()]
+
+
+# file key: (PipelineConfig field, converter of the value text)
+_KEYS = {
+    "kappa": ("kappa", float),
+    "omega": ("omega", float),
+    "K": ("context", int),
+    "W": ("window", int),
+    "N": ("block", int),
+    "L": ("bins", int),
+    "D0": ("norm", _norm),
+    "rho": ("rho", float),
+    "threshold": ("threshold", int),
+    "disparity_scale": ("disparity_scale", float),
+    "alphas": ("alphas", _floats),
+    "lambdas": ("lambdas", _floats),
+    "seed": ("seed", int),
+    "merge": ("merge", _flag),
+}
 
 
 def parse_config(text: str) -> PipelineConfig:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        field = _KEYS[key]
-        if field in _INT_FIELDS:
-            values[field] = int(val)
-        elif field in _FLOAT_FIELDS:
-            values[field] = float(val)
-        elif field == "norm":
-            values[field] = None if val.lower() in ("auto", "none") else float(val)
-        elif field in ("alphas", "lambdas"):
-            values[field] = tuple(float(v) for v in val.split(",") if v.strip())
-        elif field == "merge":
-            values[field] = val.strip().lower() not in ("0", "false", "no", "off")
-    return PipelineConfig(**values)
+    values = parse_key_values(text, "config", {key: convert for key, (_, convert) in _KEYS.items()})
+    return PipelineConfig(**{_KEYS[key][0]: value for key, value in values.items()})
 
 
 def load_config(path) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config(f.read())
-
-
-def with_overrides(cfg: PipelineConfig, **kwargs) -> PipelineConfig:
-    return replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})

@@ -189,26 +189,32 @@ class SceneSpec:
             raise ValueError(f"unknown texture style {self.texture!r}")
 
 
-def parse_scene_spec(text: str) -> SceneSpec:
-    """Parse a key=value scene descriptor (one pair per line, # comments)."""
-    fields = {f.name: f.type for f in dataclasses.fields(SceneSpec)}
+def parse_key_values(text: str, kind: str, converters: dict) -> dict:
+    """Parse ``key = value`` lines ('#' starts a comment) into a dict of
+    converted values.  ``converters`` maps each accepted key to the function
+    that converts its value text; errors name the ``kind`` of file, the line
+    and, for a bad value, the key."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"scene spec line {lineno}: expected key=value")
+            raise ValueError(f"{kind} line {lineno}: expected key=value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in fields:
-            raise ValueError(f"scene spec line {lineno}: unknown key {key!r}")
-        if key == "texture":
-            values[key] = val
-        elif key == "value_scale":
-            values[key] = float(val)
-        else:
-            values[key] = int(val)
-    return SceneSpec(**values)
+        if key not in converters:
+            raise ValueError(f"{kind} line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = converters[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{kind} line {lineno}: bad value for {key!r}: {exc}") from exc
+    return values
+
+
+def parse_scene_spec(text: str) -> SceneSpec:
+    """Parse a key=value scene descriptor (one pair per line, # comments)."""
+    converters = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in dataclasses.fields(SceneSpec)}
+    return SceneSpec(**parse_key_values(text, "scene spec", converters))
 
 
 def format_scene_spec(spec: SceneSpec) -> str:

@@ -259,6 +259,9 @@ class TestGraphMemo:
 class TestPriorWindow:
     """The last K prior directions must number min(prior_count, K)."""
 
+    PAIR = (Segment((16, 20), ("S", "E"), "SESE"), Segment((18, 22), ("S", "E"), "SESE"))
+    ZERO = dict(cost_a=RdCost(0.0, 0.0, 0.0), cost_b=RdCost(0.0, 0.0, 0.0))
+
     def test_short_prior_window_rejected(self, rng):
         color = textured_color(rng, 40, 48)
         seg = Segment((16, 20), ("S", "E"), "SESE")
@@ -269,6 +272,8 @@ class TestPriorWindow:
             approximate_segment(seg, ("S",), color, cols, cfg, prior_count=5)
         with pytest.raises(ValueError, match="prior window"):
             segment_path_cost(seg, seg.dirs, ("S",), 5, color, cols, cfg)
+        with pytest.raises(ValueError, match="prior window"):
+            merge_segments(*self.PAIR, ("S",), color, cfg, prior_count=5, **self.ZERO)
         assert not any(len(window) < 3 for window in context_model(params))
 
     def test_empty_prior_with_full_count_rejected(self, rng):
@@ -280,6 +285,8 @@ class TestPriorWindow:
             approximate_segment(seg, (), color, cols, cfg, prior_count=3)
         with pytest.raises(ValueError, match="prior window"):
             segment_path_cost(seg, seg.dirs, (), 4, color, cols, cfg)
+        with pytest.raises(ValueError, match="prior window"):
+            merge_segments(*self.PAIR, (), color, cfg, prior_count=4, **self.ZERO)
 
     def test_long_prior_is_cut_to_the_window(self, rng):
         color = textured_color(rng, 40, 48)
@@ -366,6 +373,21 @@ class TestApproximateSegment:
         assert abs(cost.total - (cost.distortion + cfg.lagrange * cost.rate)) <= 1e-9
 
 
+def pair_costs(a, b, prior, prior_count, color, cfg):
+    """The pair's per-segment costs, priced as ``approximate_contour`` prices
+    them: ``a`` may not end against ``b``'s first step, and ``b`` is coded
+    after ``a``'s approximation."""
+    a_seg, cost_a = approximate_segment(
+        a, prior, color, segment_vertical_columns(a), cfg,
+        prior_count=prior_count, forbidden_last=OPPOSITE[b.dirs[0]],
+    )
+    _, cost_b = approximate_segment(
+        b, prior + tuple(a_seg.dirs), color, segment_vertical_columns(b), cfg,
+        prior_count=prior_count + a_seg.length,
+    )
+    return dict(cost_a=cost_a, cost_b=cost_b)
+
+
 class TestMerge:
     def test_projection_fig_case(self):
         # first pair {E,S} overshoots right, second {W,S} comes back: edges
@@ -391,7 +413,8 @@ class TestMerge:
         b = Segment((19, 23), ("S", "E"), "ESSEES")
         proj, shifts = project_onto_rectangle(a, b)
         assert shifts == []
-        res = merge_segments(a, b, (), color, small_cfg(4.0))
+        cfg = small_cfg(4.0)
+        res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), 0, color, cfg))
         assert res is not None
         projected, merged, cost = res
         assert projected == proj
@@ -407,7 +430,8 @@ class TestMerge:
         b = Segment((18, 26), ("S", "W"), "WWWWSS")
         _, shifts = project_onto_rectangle(a, b)
         assert shifts and all(qp != qo for _, qo, qp in shifts)
-        res = merge_segments(a, b, (), color, small_cfg(0.0))
+        cfg = small_cfg(0.0)
+        res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), 0, color, cfg))
         assert res is None
 
 

@@ -15,6 +15,7 @@ from contourcodec.image_io import (
     format_scene_spec,
     load_color,
     make_synthetic_scene,
+    parse_scene_spec,
     save_color,
     save_depth,
 )
@@ -35,6 +36,32 @@ def test_config_parsing_maps_short_keys():
     assert cfg.lambdas == (0.0, 1.5) and cfg.merge is False
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("nope=1\n")
+
+
+@pytest.mark.parametrize("text, merge", [
+    ("merge = 1", True), ("merge = TRUE", True), ("merge=yes", True), ("merge = On", True),
+    ("merge = 0", False), ("merge = False", False), ("merge=NO", False), ("merge = off", False),
+])
+def test_config_merge_accepts_only_known_flags(text, merge):
+    assert parse_config(text + "\n").merge is merge
+
+
+@pytest.mark.parametrize("value", ["flase", "2", "", "y"])
+def test_config_misspelled_merge_is_an_error(value):
+    with pytest.raises(ValueError, match=r"config line 2: bad value for 'merge'"):
+        parse_config(f"K = 3\nmerge = {value}\n")
+
+
+@pytest.mark.parametrize("parse, kind, text, key", [
+    (parse_config, "config", "K = three", "K"),
+    (parse_config, "config", "kappa = 2\nlambdas = 0,x", "lambdas"),
+    (parse_scene_spec, "scene spec", "width = wide", "width"),
+    (parse_scene_spec, "scene spec", "# scale\nvalue_scale = x", "value_scale"),
+])
+def test_bad_value_names_file_kind_line_and_key(parse, kind, text, key):
+    lineno = text.count("\n") + 1
+    with pytest.raises(ValueError, match=rf"^{kind} line {lineno}: bad value for '{key}'"):
+        parse(text + "\n")
 
 
 def test_config_defaults_match_module_defaults():
@@ -191,6 +218,28 @@ def test_sweep_failed_row_reports_nan_bits(monkeypatch):
     left, right = make_synthetic_scene(1, spec)
     lines = run_sweep(left, right, PipelineConfig(), (4.0,), spec.value_scale, timing=False).splitlines()
     assert lines[1].split(",")[:2] == ["4", "nan"]  # no rate was measured, so none is reported
+
+
+def test_sweep_detects_once_per_view_and_times_it(monkeypatch):
+    import contourcodec.augment as augment_mod
+    import contourcodec.cli as cli_mod
+
+    calls = []
+    for module in (augment_mod, cli_mod):
+        real = module.detect_contours
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "detect_contours", counted)
+    spec = SceneSpec(width=64, height=64, shapes=1, jitter=1, min_size=16, max_size=16, margin=24)
+    left, right = make_synthetic_scene(1, spec)
+    lines = run_sweep(left, right, PipelineConfig(), (4.0,), spec.value_scale).splitlines()
+    assert len(calls) == 2  # the left view, then the modified right view
+    row = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
+    assert float(row["detect_ms"]) > 0
+    assert all(float(row[name]) >= 0 for name in ("detect_ms", "dp_ms", "code_ms", "synth_ms"))
 
 
 README_SWEEP = Path(__file__).with_name("data") / "sweep_readme.csv"
