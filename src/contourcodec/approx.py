@@ -88,43 +88,37 @@ class RdCost:
 
 
 class _RowCosts:
-    """Shifted-edge costs on one view: row distortion plus the inter-view
-    penalty weight*shift^2, for one segment's vertical edges.  Nothing is
-    memoized here: the row proxy already keeps every distortion of the
-    contour."""
+    """Shifted-edge costs on one view, for one segment's vertical edges.
 
-    def __init__(self, proxy: RowProxy, vertical_columns, cfg: ApproxConfig, penalty_weight: float):
-        self._proxy = proxy
+    Moving the edge in ``row`` from ``q_orig`` to ``q`` costs the row
+    distortion measured at ``q_orig``'s window anchor plus the inter-view
+    penalty weight*(q - q_orig)^2; ``q_orig`` defaults to the segment's own
+    edge column in that row.  ``color`` is an image or a row proxy of it.
+    Nothing is memoized here: the row proxy already keeps every distortion
+    of the contour.
+    """
+
+    def __init__(self, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0):
+        self._proxy = row_proxy(color, cfg.swim)
         self._cols = vertical_columns
-        self._swim = cfg.swim
         self._weight = penalty_weight
 
-    def cost(self, row: int, q: int) -> float:
-        return self.shift_cost(row, self._cols[row], q)
+    def cost(self, row: int, q: int, q_orig: int | None = None) -> float:
+        return self.grid([row], [q], q_orig)[0]
 
-    def grid(self, rows, columns) -> list:
-        """``cost(row, q)`` for every row and column, row-major, with each
-        row's window anchor computed once."""
+    def grid(self, rows, columns, q_orig: int | None = None) -> list:
+        """``cost(row, q, q_orig)`` for every row and column, row-major, with
+        each row's window anchor computed once."""
+        proxy, swim, weight = self._proxy, self._proxy.cfg, self._weight
         out = []
         for row in rows:
-            q_orig = self._cols[row]
-            anchor = self._anchor(q_orig)
-            out += [self._shift(row, anchor, q_orig, q) for q in columns]
+            orig = self._cols[row] if q_orig is None else q_orig
+            anchor = window_anchor(orig, proxy.lum.shape[1], swim.block)
+            out += [row_distortion(proxy, row, anchor, orig, q, swim) + weight * (q - orig) ** 2 for q in columns]
         return out
 
-    def shift_cost(self, row: int, q_orig: int, q: int) -> float:
-        """Cost of moving the edge in ``row`` from ``q_orig`` to ``q``, for
-        any original column (merging prices projected edges with it)."""
-        return self._shift(row, self._anchor(q_orig), q_orig, q)
 
-    def _anchor(self, q_orig: int) -> int:
-        return window_anchor(q_orig, self._proxy.lum.shape[1], self._swim.block)
-
-    def _shift(self, row: int, anchor: int, q_orig: int, q: int) -> float:
-        value = row_distortion(self._proxy, row, anchor, q_orig, q, self._swim)
-        if self._weight:
-            value += self._weight * (q - q_orig) ** 2
-        return value
+row_cost_table = _RowCosts
 
 
 def _crossed_rows(seg: Segment):
@@ -133,29 +127,17 @@ def _crossed_rows(seg: Segment):
     return range(p0, p1) if p1 >= p0 else range(p1, p0)
 
 
-def row_cost_table(color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0) -> "_RowCosts":
-    """Shareable lazy table of shifted-edge costs (one per segment); ``color``
-    is an image or a row proxy of it."""
-    return _RowCosts(row_proxy(color, cfg.swim), vertical_columns, cfg, penalty_weight)
-
-
-def _check_prior(prior_dirs, prior_count: int | None, k: int) -> tuple:
-    """(last K prior directions, prior edge count), the count defaulting to
-    their number; they must number min(prior_count, K), else ValueError."""
-    prior = tuple(prior_dirs)[-k:]
-    if prior_count is None:
-        prior_count = len(prior)
-    if len(prior) != min(prior_count, k):
-        raise ValueError(f"prior window of {len(prior)} directions does not fit prior_count {prior_count} at context length {k}")
-    return prior, prior_count
-
-
 def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
     """Cost of one explicit candidate path, accumulated edge by edge in the
-    same order the DP uses (so totals are bit-comparable).  Raises ValueError
-    when an edge coded with a full context window doubles back."""
+    same order the DP uses (so totals are bit-comparable).  ``prior_count``
+    is the number of contour edges coded before the segment; the last K
+    prior directions must number min(prior_count, K).  Raises ValueError
+    when they do not, or when an edge coded with a full context window
+    doubles back."""
     k = cfg.aec.context_len
-    recent, prior_count = _check_prior(prior_dirs, prior_count, k)
+    recent = tuple(prior_dirs)[-k:]
+    if len(recent) != min(prior_count, k):
+        raise ValueError(f"prior window of {len(recent)} directions does not fit prior_count {prior_count} at context length {k}")
     if rows is None:
         rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
     model = context_model(cfg.aec)
@@ -296,18 +278,18 @@ class _GraphMemo:
 layer_graph = _GraphMemo(_GRAPH_STATES)
 
 
-def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, prior_count: int | None = None, penalty_weight: float = 0.0, forbidden_last: str | None = None):
+def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, penalty_weight: float = 0.0, forbidden_last: str | None = None):
     """Minimize distortion + lambda*rate over all same-endpoint paths.
 
     ``prior_dirs`` are the directions already coded before this segment (the
-    context seed); ``prior_count`` the number of contour edges preceding it
-    (defaults to len(prior_dirs)); the last K prior directions must number
-    min(prior_count, K), else ValueError.  ``vertical_columns`` maps each
-    pixel row crossed by the original segment's vertical edges to the edge
-    column.  ``forbidden_last`` excludes paths ending in that direction, so
-    the next segment of the contour can never be forced into a 180-degree
-    turn.  ``color`` is the view's color image or a ``swim.RowProxy`` of it;
-    callers that approximate several segments of one image share one proxy.
+    context seed); only the last K count, and fewer than K means that fewer
+    edges precede the segment, so they are coded with the coder's early
+    rule.  ``vertical_columns`` maps each pixel row crossed by the original
+    segment's vertical edges to the edge column.  ``forbidden_last`` excludes
+    paths ending in that direction, so the next segment of the contour can
+    never be forced into a 180-degree turn.  ``color`` is the view's color
+    image or a ``swim.RowProxy`` of it; callers that approximate several
+    segments of one image share one proxy.
 
     The DP runs over the states of the segment's memoized ``_LayerGraph``,
     one anti-diagonal at a time: a state's candidates cost ``(parent cost +
@@ -319,7 +301,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     Returns (approximated Segment, RdCost).
     """
     k = cfg.aec.context_len
-    prior, prior_count = _check_prior(prior_dirs, prior_count, k)
+    prior = tuple(prior_dirs)[-k:]
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     missing = [r for r in _crossed_rows(seg) if r not in vertical_columns]
@@ -349,17 +331,15 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     dp_v = DIR_VECTOR[dir_v][0]
     dq_h = DIR_VECTOR[dir_h][1]
     row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
-    row_cost = np.zeros(v_count * (h_count + 1) + 1)
-    row_cost[:-1] = rows.grid(
+    row_cost = np.array(rows.grid(
         [p0 + dp_v * i + row_offset for i in range(v_count)],
         [q0 + dq_h * j for j in range(h_count + 1)],
-    )
+    ) + [0.0])  # the zero row cost of a horizontal move last
 
     vertical = graph.vertical
     base = rate[2 * graph.window_ids[graph.parents] + ~vertical[:, None]]
     edge_rows = row_cost[graph.cells][:, None]
-    cost = np.empty(len(vertical) + 1)
-    cost[0] = 0.0
+    cost = np.zeros(len(vertical) + 1)
     cost[-1] = math.inf
     pick = np.zeros(len(vertical), np.intp)
     for lo, hi in graph.layers:
@@ -379,7 +359,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
+        original = segment_path_cost(seg, seg.dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -389,7 +369,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         state = int(graph.parents[state, pick[state]])
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
+    cost = segment_path_cost(result, dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
     return result, cost
 
 
@@ -432,47 +412,37 @@ def project_onto_rectangle(a: Segment, b: Segment):
     return Segment(l0, (dir_v, dir_h), "".join(dirs)), shifts
 
 
-def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, cost_a: RdCost, cost_b: RdCost, prior_count: int | None = None, next_dir: str | None = None, penalty_weight: float = 0.0):
+def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, cost_a: RdCost, cost_b: RdCost, forbidden_last: str | None = None, penalty_weight: float = 0.0):
     """Try to replace two adjacent segments by one re-optimized segment.
 
-    ``cost_a`` and ``cost_b`` are the pair's current costs, as the segment DP
-    priced them in the contour.  Returns (projected Segment, merged Segment,
-    RdCost including the merge distortion) when the merge strictly lowers
-    their sum, else None; the projected segment is the pair on its joint
-    rectangle, the original that later merges re-optimize.  An inconsistent
-    prior window raises ValueError, as in ``approximate_segment``.
+    ``prior_dirs`` and ``forbidden_last`` are the merged segment's context
+    seed and excluded last move, as in ``approximate_segment``.  ``cost_a``
+    and ``cost_b`` are the pair's current costs, as the segment DP priced
+    them in the contour.  Returns (projected Segment, merged Segment, RdCost
+    including the merge distortion) when the merge strictly lowers their
+    sum, else None; the projected segment is the pair on its joint
+    rectangle, the original that later merges re-optimize.
     """
-    prior, prior_count = _check_prior(prior_dirs, prior_count, cfg.aec.context_len)
     proxy = row_proxy(color, cfg.swim)
     projection = project_onto_rectangle(a, b)
     if projection is None:
         return None
     projected, shifts = projection
     shifted = _RowCosts(proxy, {}, cfg, penalty_weight)
-    merge_d = 0.0
-    for row, q_orig, q_proj in shifts:
-        merge_d += shifted.shift_cost(row, q_orig, q_proj)
+    merge_d = sum(shifted.cost(row, q_proj, q_orig) for row, q_orig, q_proj in shifts)
     if math.isinf(merge_d):
         return None
     try:
         mseg, mcost = approximate_segment(
-            projected, prior, proxy, segment_vertical_columns(projected), cfg,
-            prior_count=prior_count, penalty_weight=penalty_weight,
-            forbidden_last=None if next_dir is None else OPPOSITE[next_dir],
+            projected, prior_dirs, proxy, segment_vertical_columns(projected), cfg,
+            penalty_weight=penalty_weight, forbidden_last=forbidden_last,
         )
     except ValueError:
         return None
-    if math.isinf(mcost.total):
-        return None
-    total = mcost.total + merge_d
+    total = mcost.total + merge_d  # infinite when no merged path is finite, so never cheaper
     if total < cost_a.total + cost_b.total:
         return projected, mseg, RdCost(mcost.distortion + merge_d, mcost.rate, total)
     return None
-
-
-def _duplicate_edges(contour: Contour) -> bool:
-    edges = list(cracks(contour.start, contour.absolute_dirs()))
-    return len(set(edges)) != len(edges)
 
 
 def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, penalty_weight: float = 0.0):
@@ -484,16 +454,13 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
     segments including any merge distortion.
     """
     if depth is not None:
-        pix = depth.pixels if hasattr(depth, "pixels") else depth
-        h, w = pix.shape
-        for p, q in contour.points():
-            if not (0 <= p <= h and 0 <= q <= w):
-                raise ValueError("contour leaves the depth image lattice")
+        h, w = getattr(depth, "pixels", depth).shape
+        if any(not (0 <= p <= h and 0 <= q <= w) for p, q in contour.points()):
+            raise ValueError("contour leaves the depth image lattice")
     proxy = RowProxy(color, cfg.swim)
     k = cfg.aec.context_len
     slots = []
     recent = ()
-    count = 0
     originals = split_segments(contour)
     for i, seg in enumerate(originals):
         # ending against the next segment's original first step would force a
@@ -502,11 +469,10 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
         forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
         approx, cost = approximate_segment(
             seg, recent, proxy, segment_vertical_columns(seg), cfg,
-            prior_count=count, penalty_weight=penalty_weight, forbidden_last=forbidden,
+            penalty_weight=penalty_weight, forbidden_last=forbidden,
         )
         slots.append([seg, approx, cost])
         recent = (recent + tuple(approx.dirs))[-k:]
-        count += approx.length
 
     if cfg.merge:
         improved = True
@@ -514,25 +480,23 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
             improved = False
             i = 0
             prior = ()  # context of the edges before slot i
-            pcount = 0
             while i + 1 < len(slots):
-                nd = slots[i + 2][1].dirs[0] if i + 2 < len(slots) else None
+                forbidden = OPPOSITE[slots[i + 2][1].dirs[0]] if i + 2 < len(slots) else None
                 res = merge_segments(
                     slots[i][0], slots[i + 1][0], prior, proxy, cfg,
-                    prior_count=pcount, cost_a=slots[i][2], cost_b=slots[i + 1][2],
-                    next_dir=nd, penalty_weight=penalty_weight,
+                    cost_a=slots[i][2], cost_b=slots[i + 1][2],
+                    forbidden_last=forbidden, penalty_weight=penalty_weight,
                 )
                 if res is None:
-                    done = slots[i][1]
-                    prior = (prior + tuple(done.dirs))[-k:]
-                    pcount += done.length
+                    prior = (prior + tuple(slots[i][1].dirs))[-k:]
                     i += 1
                     continue
                 slots[i : i + 2] = [list(res)]  # (projected original, approximation, cost)
                 improved = True
 
     assembled = join_segments([s[1] for s in slots])
-    if _duplicate_edges(assembled):
+    edges = list(cracks(assembled.start, assembled.absolute_dirs()))
+    if len(set(edges)) != len(edges):
         logger.warning("approximation produced a self-touching contour; keeping the original")
         rate = estimate_rate(contour, cfg.aec)
         return contour, RdCost(0.0, rate, cfg.lagrange * rate)
@@ -553,15 +517,7 @@ def contour_row_shifts(original: Contour, approximated: Contour):
     def crossings(c: Contour):
         return [(row, q) for vertical, row, q in cracks(c.start, c.absolute_dirs()) if vertical]
 
-    orig = crossings(original)
-    new = crossings(approximated)
-    shifts = []
     by_row = defaultdict(deque)
-    for row, q in orig:
+    for row, q in crossings(original):
         by_row[row].append(q)
-    for row, q in new:
-        if by_row[row]:
-            shifts.append((row, by_row[row].popleft(), q))
-        else:
-            shifts.append((row, q, q))
-    return shifts
+    return [(row, by_row[row].popleft() if by_row[row] else q, q) for row, q in crossings(approximated)]

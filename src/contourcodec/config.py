@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .aec import AecParams
 from .approx import ApproxConfig
-from .image_io import parse_key_values
+from .image_io import checked, parse_key_values
 from .swim import SwimConfig
 
 
@@ -34,6 +34,13 @@ class PipelineConfig:
     lambdas: tuple = (0.0, 0.5, 2.0, 8.0)
     seed: int = 0
     merge: bool = True
+
+    def __post_init__(self):
+        self.approx_config()  # AecParams, SwimConfig and ApproxConfig check their fields
+        if not self.alphas:
+            raise ValueError("alphas must not be empty")
+        if self.threshold < 1:
+            raise ValueError("threshold must be >= 1")
 
     def aec_params(self) -> AecParams:
         return AecParams(context_len=self.context, kappa=self.kappa, omega=self.omega)
@@ -88,7 +95,7 @@ _KEYS = {
 
 
 def parse_config(text: str) -> PipelineConfig:
-    values = parse_key_values(text, "config", {key: convert for key, (_, convert) in _KEYS.items()})
+    values = parse_key_values(text, "config", {key: checked(PipelineConfig, field, convert) for key, (field, convert) in _KEYS.items()})
     return PipelineConfig(**{_KEYS[key][0]: value for key, value in values.items()})
 
 

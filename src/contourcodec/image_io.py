@@ -211,10 +211,23 @@ def parse_key_values(text: str, kind: str, converters: dict) -> dict:
     return values
 
 
+def checked(cls, name: str, convert):
+    """Converter of the value text of ``cls``'s field ``name`` that also runs
+    ``cls``'s own checks on the value, every other field at its default."""
+    return lambda text: getattr(cls(**{name: convert(text)}), name)
+
+
 def parse_scene_spec(text: str) -> SceneSpec:
-    """Parse a key=value scene descriptor (one pair per line, # comments)."""
-    converters = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in dataclasses.fields(SceneSpec)}
-    return SceneSpec(**parse_key_values(text, "scene spec", converters))
+    """Parse a key=value scene descriptor (one pair per line, # comments).
+    The value order bg_value < fg_min <= fg_max is checked on the whole spec."""
+    types = {"int": int, "float": float, "str": str}
+    order = ("bg_value", "fg_min", "fg_max")
+    converters = {f.name: types[f.type] if f.name in order else checked(SceneSpec, f.name, types[f.type]) for f in dataclasses.fields(SceneSpec)}
+    values = parse_key_values(text, "scene spec", converters)
+    try:
+        return SceneSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"scene spec: {exc}") from exc
 
 
 def format_scene_spec(spec: SceneSpec) -> str:

@@ -198,11 +198,10 @@ def tie_heavy_cases(draw):
         swim=SwimConfig(block=8, window=draw(st.sampled_from([1, 2, 4, 10]))),
     )
     options = dict(
-        prior_count=prior_count,
         penalty_weight=draw(st.sampled_from([0.0, 1.0, 1e6])),
         forbidden_last=draw(st.sampled_from([None, "N", "E", "S", "W"])),
     )
-    return (seg, prior, color, cols, cfg), options
+    return (seg, prior, color, cols, cfg), options, prior_count
 
 
 def _outcome(dp, args, options):
@@ -215,13 +214,16 @@ def _outcome(dp, args, options):
 
 class TestTieRule:
     """The table-driven DP against the dict DP it replaced: same path and
-    repr-equal cost (or the same error) where ties abound."""
+    repr-equal cost (or the same error) where ties abound.  The table-driven
+    DP sees only the prior window; the dict DP also gets the number of
+    edges before the segment, which may exceed K."""
 
     @settings(max_examples=400)
     @given(tie_heavy_cases())
     def test_same_path_and_cost_as_dict_dp(self, case):
-        args, options = case
-        assert _outcome(approximate_segment, args, options) == _outcome(dict_dp_segment, args, options)
+        args, options, prior_count = case
+        reference = _outcome(dict_dp_segment, args, dict(options, prior_count=prior_count))
+        assert _outcome(approximate_segment, args, options) == reference
 
     def test_flat_staircases_break_ties_like_dict_dp(self):
         flat = ColorImage(np.full((40, 48, 3), 90, np.uint8))
@@ -257,10 +259,9 @@ class TestGraphMemo:
 
 
 class TestPriorWindow:
-    """The last K prior directions must number min(prior_count, K)."""
-
-    PAIR = (Segment((16, 20), ("S", "E"), "SESE"), Segment((18, 22), ("S", "E"), "SESE"))
-    ZERO = dict(cost_a=RdCost(0.0, 0.0, 0.0), cost_b=RdCost(0.0, 0.0, 0.0))
+    """The segment DP reads only the last K prior directions; an explicit
+    path's ``prior_count`` must agree with them: they number
+    min(prior_count, K)."""
 
     def test_short_prior_window_rejected(self, rng):
         color = textured_color(rng, 40, 48)
@@ -269,32 +270,23 @@ class TestPriorWindow:
         params = AecParams(context_len=3, kappa=2.5)  # a model no other test fills
         cfg = ApproxConfig(lagrange=1.0, aec=params, swim=SwimConfig(block=8, window=4))
         with pytest.raises(ValueError, match="prior window"):
-            approximate_segment(seg, ("S",), color, cols, cfg, prior_count=5)
-        with pytest.raises(ValueError, match="prior window"):
             segment_path_cost(seg, seg.dirs, ("S",), 5, color, cols, cfg)
-        with pytest.raises(ValueError, match="prior window"):
-            merge_segments(*self.PAIR, ("S",), color, cfg, prior_count=5, **self.ZERO)
         assert not any(len(window) < 3 for window in context_model(params))
 
     def test_empty_prior_with_full_count_rejected(self, rng):
         color = textured_color(rng, 40, 48)
         seg = Segment((16, 20), ("S", "E"), "SESE")
         cols = segment_vertical_columns(seg)
-        cfg = small_cfg(1.0)
         with pytest.raises(ValueError, match="prior window"):
-            approximate_segment(seg, (), color, cols, cfg, prior_count=3)
-        with pytest.raises(ValueError, match="prior window"):
-            segment_path_cost(seg, seg.dirs, (), 4, color, cols, cfg)
-        with pytest.raises(ValueError, match="prior window"):
-            merge_segments(*self.PAIR, (), color, cfg, prior_count=4, **self.ZERO)
+            segment_path_cost(seg, seg.dirs, (), 4, color, cols, small_cfg(1.0))
 
     def test_long_prior_is_cut_to_the_window(self, rng):
         color = textured_color(rng, 40, 48)
         seg = Segment((16, 20), ("S", "E"), "SESE")
         cols = segment_vertical_columns(seg)
         cfg = small_cfg(1.0)
-        full = approximate_segment(seg, ("E", "E", "S", "E", "S"), color, cols, cfg, prior_count=9)
-        assert full == approximate_segment(seg, ("S", "E", "S"), color, cols, cfg, prior_count=9)
+        full = approximate_segment(seg, ("E", "E", "S", "E", "S"), color, cols, cfg)
+        assert full == approximate_segment(seg, ("S", "E", "S"), color, cols, cfg)
 
 
 class TestApproximateSegment:
@@ -324,8 +316,8 @@ class TestApproximateSegment:
             prior = (seg.dirpair[0],) * 3  # consistent with any first step
             cols = segment_vertical_columns(seg)
             cfg = small_cfg(1.0)
-            _, cost = approximate_segment(seg, prior, color, cols, cfg, prior_count=7)
-            oracle = brute_force_minimum(seg, prior, 7, color, cols, cfg)
+            _, cost = approximate_segment(seg, prior, color, cols, cfg)
+            oracle = brute_force_minimum(seg, prior, 7, color, cols, cfg)  # seven edges precede the segment
             assert cost.total == pytest.approx(oracle, abs=1e-9)
 
     def test_structure_preserved(self, rng):
@@ -373,18 +365,12 @@ class TestApproximateSegment:
         assert abs(cost.total - (cost.distortion + cfg.lagrange * cost.rate)) <= 1e-9
 
 
-def pair_costs(a, b, prior, prior_count, color, cfg):
+def pair_costs(a, b, prior, color, cfg):
     """The pair's per-segment costs, priced as ``approximate_contour`` prices
     them: ``a`` may not end against ``b``'s first step, and ``b`` is coded
     after ``a``'s approximation."""
-    a_seg, cost_a = approximate_segment(
-        a, prior, color, segment_vertical_columns(a), cfg,
-        prior_count=prior_count, forbidden_last=OPPOSITE[b.dirs[0]],
-    )
-    _, cost_b = approximate_segment(
-        b, prior + tuple(a_seg.dirs), color, segment_vertical_columns(b), cfg,
-        prior_count=prior_count + a_seg.length,
-    )
+    a_seg, cost_a = approximate_segment(a, prior, color, segment_vertical_columns(a), cfg, forbidden_last=OPPOSITE[b.dirs[0]])
+    _, cost_b = approximate_segment(b, prior + tuple(a_seg.dirs), color, segment_vertical_columns(b), cfg)
     return dict(cost_a=cost_a, cost_b=cost_b)
 
 
@@ -414,12 +400,22 @@ class TestMerge:
         proj, shifts = project_onto_rectangle(a, b)
         assert shifts == []
         cfg = small_cfg(4.0)
-        res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), 0, color, cfg))
+        res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), color, cfg))
         assert res is not None
         projected, merged, cost = res
         assert projected == proj
         assert merged.start == a.start
         assert segment_endpoint(merged) == segment_endpoint(b)
+
+    def test_merged_segment_never_ends_in_forbidden_last(self, rng):
+        color = textured_color(rng, 48, 64)
+        a = Segment((16, 20), ("S", "E"), "SEESSE")
+        b = Segment((19, 23), ("S", "E"), "ESSEES")
+        cfg = small_cfg(4.0)
+        costs = pair_costs(a, b, (), color, cfg)
+        last = merge_segments(a, b, (), color, cfg, **costs)[1].dirs[-1]
+        res = merge_segments(a, b, (), color, cfg, forbidden_last=last, **costs)
+        assert res is not None and res[1].dirs[-1] != last
 
     def test_deep_detour_rejected_at_small_lambda(self, rng):
         color = textured_color(rng, 48, 64)
@@ -431,7 +427,7 @@ class TestMerge:
         _, shifts = project_onto_rectangle(a, b)
         assert shifts and all(qp != qo for _, qo, qp in shifts)
         cfg = small_cfg(0.0)
-        res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), 0, color, cfg))
+        res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), color, cfg))
         assert res is None
 
 
@@ -520,6 +516,12 @@ class TestInterviewPenalty:
     def test_zero_shift_unpenalized(self, rng):
         img = textured_color(rng, 24, 64)
         assert row_cost_table(img, {5: 20}, self.CFG, 1e6).cost(5, 20) == 0.0
+
+    def test_any_original_column_is_priced_at_its_own_anchor(self, rng):
+        # merging prices an edge its projection moves, here from column 35 to 31
+        img = textured_color(rng, 24, 64)
+        rows = row_cost_table(img, {}, self.CFG, 1e6)
+        assert rows.cost(5, 31, q_orig=35) == row_distortion(img, 5, 32, 35, 31, self.CFG.swim) + 16e6 < math.inf
 
     def test_huge_weight_prefers_zero_shift(self, rng):
         img = textured_color(rng, 24, 64)

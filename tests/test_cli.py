@@ -57,11 +57,26 @@ def test_config_misspelled_merge_is_an_error(value):
     (parse_config, "config", "kappa = 2\nlambdas = 0,x", "lambdas"),
     (parse_scene_spec, "scene spec", "width = wide", "width"),
     (parse_scene_spec, "scene spec", "# scale\nvalue_scale = x", "value_scale"),
+    # values that convert but that no sweep or scene can run with
+    (parse_config, "config", "alphas = ,", "alphas"),
+    (parse_config, "config", "seed = 1\nK = 0", "K"),
+    (parse_config, "config", "N = 12", "N"),
+    (parse_config, "config", "threshold = 0", "threshold"),
+    (parse_config, "config", "rho = -1", "rho"),
+    (parse_scene_spec, "scene spec", "width = 64\ntexture = foo", "texture"),
+    (parse_scene_spec, "scene spec", "jitter = -1", "jitter"),
 ])
 def test_bad_value_names_file_kind_line_and_key(parse, kind, text, key):
     lineno = text.count("\n") + 1
     with pytest.raises(ValueError, match=rf"^{kind} line {lineno}: bad value for '{key}'"):
         parse(text + "\n")
+
+
+def test_scene_spec_value_order_is_checked_on_the_whole_spec():
+    spec = parse_scene_spec("bg_value = 20\nfg_min = 30\n")
+    assert (spec.bg_value, spec.fg_min) == (20, 30)
+    with pytest.raises(ValueError, match=r"^scene spec: need 0 <= bg_value < fg_min"):
+        parse_scene_spec("fg_min = 30\n")
 
 
 def test_config_defaults_match_module_defaults():
