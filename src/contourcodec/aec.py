@@ -7,16 +7,17 @@ direction is weighted by ``exp(kappa * cos(angle to the line))`` times
 distance from the candidate edge's end point to the line.  Normalizing over
 the three relative symbols cancels the von-Mises constant.
 
-The first edge of a contour is uniform over the four absolute directions
-(2 bits) and is carried in the bitstream header; edges coded before the
-context window is full are uniform over the three relative symbols
-(:func:`early_bits` is that rule).  Every later edge is coded from the
-context model of its parameter set (:func:`context_model`): one lazily
-filled table keyed by the window of recent absolute directions, whose entry
-holds both the bits of each allowed next direction and the quantized
-cumulative frequencies of the range coder.  Rate estimation, the contour DP,
-encoding and decoding all read that one table, so the rate the DP minimizes
-is the rate the coder spends.
+Every edge is priced by the context model of its parameter set
+(:func:`context_model`): one lazily filled table keyed by the window of at
+most K recent absolute directions, whose entry holds both the bits of each
+allowed next direction and the quantized cumulative frequencies of the range
+coder.  The empty window prices the first edge of a contour at 2 bits for
+each of the four directions (that direction is carried in the bitstream
+header); a window shorter than K, which means fewer than K edges are coded,
+is uniform over its three non-reversing directions; a full window fits the
+geometric model.  Rate estimation, the contour DP, encoding and decoding all
+read that one table, so the rate the DP minimizes is the rate the coder
+spends.
 
 Bitstream layout (all integers big-endian):
 magic "AEC1" | u16 contour count | per contour: u16 p, u16 q,
@@ -70,8 +71,8 @@ class AecParams:
     def __post_init__(self):
         if self.context_len < 1:
             raise ValueError("context_len must be >= 1")
-        if self.kappa <= 0 or self.omega <= 0:
-            raise ValueError("kappa and omega must be > 0")
+        if not (0 < self.kappa < math.inf and 0 < self.omega < math.inf):
+            raise ValueError("kappa and omega must be finite and > 0")
 
 
 def fit_line(points, orient=None):
@@ -165,18 +166,6 @@ def context_points(head, recent_dirs):
     return pts
 
 
-def early_bits(coded: int, context_len: int) -> float | None:
-    """Bits of the edge coded after ``coded`` edges of a contour while no full
-    context window exists (the same for every direction): 2 for the first
-    edge, log2(3) until ``context_len`` edges are coded.  None once the
-    context model applies."""
-    if coded == 0:
-        return 2.0
-    if coded < context_len:
-        return LOG2_3
-    return None
-
-
 def _quantize(probs) -> tuple:
     freqs = [max(1, round(p * _FREQ_TOTAL)) for p in probs]
     freqs[freqs.index(max(freqs))] += _FREQ_TOTAL - sum(freqs)
@@ -187,25 +176,30 @@ def _quantize(probs) -> tuple:
 
 class ContextModel(dict):
     """The context model of one parameter set: ``{window: (bits, cum)}``,
-    each entry computed on first use.
+    each entry computed on first use by the rule of the module docstring.
 
-    A window is the tuple of the most recent absolute directions.  ``bits``
-    maps each allowed next absolute direction, in l, s, r order, to
-    ``-log2`` of its probability; ``cum`` holds the range coder's cumulative
-    frequency bounds ``(0, l, l + s, total)``.  ``early_cum`` are the bounds
-    of the uniform early positions.  The model is translation invariant, so
-    an entry fits the window's polyline with its head at the origin.
+    ``bits`` maps each allowed next absolute direction to ``-log2`` of its
+    probability; ``cum`` holds the range coder's cumulative frequency bounds
+    ``(0, l, l + s, total)``, or None for the empty window.  The model is
+    translation invariant, so a full window's entry fits its polyline with
+    the head at the origin.
     """
 
     def __init__(self, params: AecParams):
         super().__init__()
         self.params = params
-        self.early_cum = tuple(accumulate(_quantize((1.0 / 3.0,) * 3), initial=0))
 
     def __missing__(self, window: tuple) -> tuple:
+        if not window:
+            entry = self[window] = (dict.fromkeys(ABSOLUTE, 2.0), None)
+            return entry
         last = window[-1]
-        probs = edge_probabilities(context_points((0, 0), window), last, self.params)
-        bits = {turn(last, rel): -math.log2(probs[rel]) for rel in "lsr"}
+        if len(window) < self.params.context_len:
+            probs = dict.fromkeys("lsr", 1.0 / 3.0)
+            bits = {turn(last, rel): LOG2_3 for rel in "lsr"}
+        else:
+            probs = edge_probabilities(context_points((0, 0), window), last, self.params)
+            bits = {turn(last, rel): -math.log2(probs[rel]) for rel in "lsr"}
         cum = tuple(accumulate(_quantize([probs[rel] for rel in "lsr"]), initial=0))
         entry = self[window] = (bits, cum)
         return entry
@@ -218,19 +212,14 @@ def context_model(params: AecParams) -> ContextModel:
 
 
 def estimate_rate(contour: Contour, params: AecParams) -> float:
-    """Entropy estimate in bits of coding one contour, context evolved in place.
-
-    The first edges cost what :func:`early_bits` says; once a full context
-    window exists the geometric model applies.
-    """
+    """Entropy estimate in bits of coding one contour, each edge priced by
+    the context model from the window of the edges before it."""
     k = params.context_len
     model = context_model(params)
-    bits = early_bits(0, k)
-    recent = (contour.first,)
-    for coded, rel in enumerate(contour.rest, 1):
-        d = turn(recent[-1], rel)
-        early = early_bits(coded, k)
-        bits += model[recent][0][d] if early is None else early
+    bits = 0.0
+    recent = ()
+    for d in contour.absolute_dirs():
+        bits += model[recent][0][d]
         recent = (recent + (d,))[-k:]
     return bits
 
@@ -347,8 +336,8 @@ def encode(contours, params: AecParams) -> bytes:
     enc = RangeEncoder()
     for c in contours:
         recent = (c.first,)
-        for coded, rel in enumerate(c.rest, 1):
-            cum = model[recent][1] if early_bits(coded, k) is None else model.early_cum
+        for rel in c.rest:
+            cum = model[recent][1]
             sym = "lsr".index(rel)
             enc.encode(cum[sym], cum[sym + 1], _FREQ_TOTAL)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
@@ -357,8 +346,9 @@ def encode(contours, params: AecParams) -> bytes:
     return bytes(out)
 
 
-def decode(data: bytes, params: AecParams):
-    """Decode a bitstream produced by :func:`encode` with identical params."""
+def _read_stream(data: bytes):
+    """Split a bitstream into its contour headers, each ((p, q), first
+    direction, symbol count), and its arithmetic payload."""
     if len(data) < len(_MAGIC) + 2 + 1:
         raise BitstreamError("truncated stream")
     if data[: len(_MAGIC)] != _MAGIC:
@@ -376,16 +366,21 @@ def decode(data: bytes, params: AecParams):
         off += _HEADER.size
     if data[-1] != 0:
         raise BitstreamError("truncated stream")
+    return headers, data[off:-1]
+
+
+def decode(data: bytes, params: AecParams):
+    """Decode a bitstream produced by :func:`encode` with identical params."""
+    headers, payload = _read_stream(data)
     k = params.context_len
     model = context_model(params)
-    dec = RangeDecoder(data[off:-1])
+    dec = RangeDecoder(payload)
     contours = []
     for start, first, nsyms in headers:
         recent = (first,)
         rest = []
-        for coded in range(1, nsyms + 1):
-            cum = model[recent][1] if early_bits(coded, k) is None else model.early_cum
-            rel = "lsr"[dec.decode(cum, _FREQ_TOTAL)]
+        for _ in range(nsyms):
+            rel = "lsr"[dec.decode(model[recent][1], _FREQ_TOTAL)]
             rest.append(rel)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
         contour = Contour(start, first, "".join(rest))
@@ -397,8 +392,4 @@ def decode(data: bytes, params: AecParams):
 
 def payload_bits(data: bytes) -> int:
     """Length in bits of the arithmetic payload of an encoded stream."""
-    if len(data) < len(_MAGIC) + 2 + 1 or data[: len(_MAGIC)] != _MAGIC:
-        raise BitstreamError("bad magic")
-    (count,) = struct.unpack_from(">H", data, len(_MAGIC))
-    off = len(_MAGIC) + 2 + count * _HEADER.size
-    return 8 * max(0, len(data) - 1 - off)
+    return 8 * len(_read_stream(data)[1])

@@ -24,8 +24,9 @@ strictly cheaper: the strict-``<``, first-inserted rule of a dict DP, which
 fixes the path among equal-cost ones.
 
 Rate terms are read from the coder's own context model
-(``aec.context_model``) and early-context rule (``aec.early_bits``), so what
-the DP minimizes is exactly what the coder will spend.
+(``aec.context_model``), which prices every edge from the window of the
+edges before it, so what the DP minimizes is exactly what the coder will
+spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
 which converts the image to luminance once and memoizes Laplace scales and
 row distortions while the contour is approximated.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aec import AecParams, context_model, early_bits, estimate_rate
+from .aec import AecParams, context_model, estimate_rate
 from .contour import (
     DIR_VECTOR,
     OPPOSITE,
@@ -74,10 +75,10 @@ class ApproxConfig:
     swim: SwimConfig = SwimConfig()
 
     def __post_init__(self):
-        if self.lagrange < 0:
-            raise ValueError("lagrange must be >= 0")
-        if self.interview_weight < 0:
-            raise ValueError("interview_weight must be >= 0")
+        if not 0 <= self.lagrange < math.inf:
+            raise ValueError("lagrange must be finite and >= 0")
+        if not 0 <= self.interview_weight < math.inf:
+            raise ValueError("interview_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     same order the DP uses (so totals are bit-comparable).  ``prior_count``
     is the number of contour edges coded before the segment; the last K
     prior directions must number min(prior_count, K).  Raises ValueError
-    when they do not, or when an edge coded with a full context window
-    doubles back."""
+    when they do not, or when an edge doubles back."""
     k = cfg.aec.context_len
     recent = tuple(prior_dirs)[-k:]
     if len(recent) != min(prior_count, k):
@@ -144,12 +144,10 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     total = 0.0
     rate = 0.0
     dist = 0.0
-    for t, (d, (vertical, row, q)) in enumerate(zip(dirs, cracks(seg.start, dirs)), 1):
-        bits = early_bits(prior_count + t - 1, k)
+    for d, (vertical, row, q) in zip(dirs, cracks(seg.start, dirs)):
+        bits = model[recent][0].get(d)
         if bits is None:
-            bits = model[recent][0].get(d)
-            if bits is None:
-                raise ValueError("path doubles back")
+            raise ValueError("path doubles back")
         total += cfg.lagrange * bits
         rate += bits
         if vertical:
@@ -283,13 +281,12 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
 
     ``prior_dirs`` are the directions already coded before this segment (the
     context seed); only the last K count, and fewer than K means that fewer
-    edges precede the segment, so they are coded with the coder's early
-    rule.  ``vertical_columns`` maps each pixel row crossed by the original
-    segment's vertical edges to the edge column.  ``forbidden_last`` excludes
-    paths ending in that direction, so the next segment of the contour can
-    never be forced into a 180-degree turn.  ``color`` is the view's color
-    image or a ``swim.RowProxy`` of it; callers that approximate several
-    segments of one image share one proxy.
+    edges precede the segment.  ``vertical_columns`` maps each pixel row
+    crossed by the original segment's vertical edges to the edge column.
+    ``forbidden_last`` excludes paths ending in that direction, so the next
+    segment of the contour can never be forced into a 180-degree turn.
+    ``color`` is the view's color image or a ``swim.RowProxy`` of it;
+    callers that approximate several segments of one image share one proxy.
 
     The DP runs over the states of the segment's memoized ``_LayerGraph``,
     one anti-diagonal at a time: a state's candidates cost ``(parent cost +
@@ -317,13 +314,9 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     model = context_model(cfg.aec)
     bits = []
     for window in graph.windows:
-        early = early_bits(len(window), k)
-        if early is None:
-            # a move back against the window's last direction is never taken
-            window_bits = model[tuple(absolute[s] for s in window)][0]
-            bits += [window_bits.get(dir_v, 0.0), window_bits.get(dir_h, 0.0)]
-        else:
-            bits += [early, early]
+        # a move back against the window's last direction is never taken
+        window_bits = model[tuple(absolute[s] for s in window)][0]
+        bits += [window_bits.get(dir_v, 0.0), window_bits.get(dir_h, 0.0)]
     rate = np.append(cfg.lagrange * np.array(bits), [0.0, 0.0])  # the sentinel's window last
 
     rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)

@@ -177,6 +177,8 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
 
 def cmd_sweep(args) -> int:
     cfg = _read_config(args)
+    if args.lambdas:
+        cfg = replace(cfg, lambdas=tuple(float(v) for v in args.lambdas.split(",")))
     scale = cfg.disparity_scale
     if args.scene:
         spec = parse_scene_spec(Path(args.scene).read_text(encoding="utf-8"))
@@ -188,8 +190,7 @@ def cmd_sweep(args) -> int:
             raise SystemExit(f"sweep needs --scene or all four image paths (missing: {missing})")
         left = _load_pair(args.left_depth, args.left_color)
         right = _load_pair(args.right_depth, args.right_color)
-    lambdas = tuple(float(v) for v in args.lambdas.split(",")) if args.lambdas else cfg.lambdas
-    csv = run_sweep(left, right, cfg, lambdas, scale, timing=not args.no_timing)
+    csv = run_sweep(left, right, cfg, cfg.lambdas, scale, timing=not args.no_timing)
     _write_or_print(csv, args.out)
     return 0
 

@@ -36,7 +36,8 @@ class PipelineConfig:
     merge: bool = True
 
     def __post_init__(self):
-        self.approx_config()  # AecParams, SwimConfig and ApproxConfig check their fields
+        for lam in (0.0, *self.lambdas):
+            self.approx_config(lam)  # AecParams, SwimConfig and ApproxConfig check their fields
         if not self.alphas:
             raise ValueError("alphas must not be empty")
         if self.threshold < 1:

@@ -18,7 +18,6 @@ from contourcodec.aec import (
     context_model,
     context_points,
     decode,
-    early_bits,
     edge_probabilities,
     encode,
     estimate_rate,
@@ -148,9 +147,16 @@ class TestContextModel:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_early_rule(self, k):
-        assert early_bits(0, k) == 2.0
-        assert [early_bits(n, k) for n in range(1, k)] == [math.log2(3.0)] * (k - 1)
-        assert early_bits(k, k) is None and early_bits(k + 5, k) is None
+        # the first edge is uniform over the four directions, and every edge
+        # coded before K directions exist over the three non-reversing ones
+        model = context_model(AecParams(context_len=k))
+        assert model[()] == (dict.fromkeys(ABSOLUTE, 2.0), None)
+        freqs = aec._quantize((1 / 3,) * 3)
+        for n in range(1, k):
+            for w in full_windows(n):
+                bits, cum = model[w]
+                assert bits == {turn(w[-1], rel): math.log2(3.0) for rel in "lsr"}
+                assert cum == (0, freqs[0], freqs[0] + freqs[1], 65536)
 
 
 class TestEstimateRate:
@@ -218,6 +224,16 @@ class TestCodec:
         assert payload_bits(data) == 0
         assert decode(data, AecParams()) == [Contour((1, 2), "S")]
 
+    def test_all_left_turns_code_an_empty_payload(self):
+        # symbol l has cum_lo 0, so low stays 0 and finish strips every byte:
+        # a payload of 0 bits carries a symbol count no payload length bounds
+        contour = Contour((5, 5), "E", "l" * 100000)
+        params = AecParams()
+        data = encode([contour], params)
+        assert len(data) == 16 and payload_bits(data) == 0
+        assert estimate_rate(contour, params) == pytest.approx(158498, abs=1)
+        assert decode(data, params) == [contour]
+
     def test_payload_within_entropy_bound(self, rng):
         params = AecParams()
         for contours in _random_sets(rng, 40):
@@ -250,6 +266,12 @@ class TestCodec:
         data = encode([random_contour(rng, 40)], AecParams())
         with pytest.raises(BitstreamError, match="truncated"):
             decode(data[:8], AecParams())
+
+    def test_payload_bits_reads_the_header_as_decode_does(self):
+        # five contours are announced but no header follows
+        for read in (payload_bits, lambda data: decode(data, AecParams())):
+            with pytest.raises(BitstreamError, match="truncated"):
+                read(b"AEC1\x00\x05\x00")
 
     def test_missing_terminator(self, rng):
         data = encode([random_contour(rng, 40)], AecParams())
@@ -292,8 +314,8 @@ class ReferenceRangeEncoder:
 
 
 # cumulative bounds that force long runs of shifted bytes, 0xFF runs and
-# carries: a symbol of width 5 or 1, and the even split the early positions use
-EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), context_model(AecParams()).early_cum]
+# carries: a symbol of width 5 or 1, and the even split of a window shorter than K
+EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), context_model(AecParams())[("E",)][1]]
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import textured_color
-from contourcodec.aec import AecParams, context_model, early_bits, estimate_rate
+from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
     RdCost,
@@ -116,18 +116,17 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
 
     layer = {(prior, seg.start[0], seg.start[1]): 0.0}
     parents = []
-    for t in range(1, seg.length + 1):
+    for _ in range(seg.length):
         nxt = {}
         par = {}
-        early = early_bits(prior_count + t - 1, k)
         for state, cost in layer.items():
             recent, p, q = state
             last = recent[-1] if recent else None
-            bits = None if early is not None else model[recent][0]
+            bits = model[recent][0]
             # vertical evaluated first (tie preference); a move into an
             # occupied state must be strictly cheaper to replace it
             if p != p_end and last != opp_v:
-                c = cost + lagrange * (early if bits is None else bits[dir_v])
+                c = cost + lagrange * bits[dir_v]
                 c += row_cost(p + row_offset, q)
                 new = ((recent + (dir_v,))[-k:], p + dp_v, q)
                 old = nxt.get(new)
@@ -135,7 +134,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
                     nxt[new] = c
                     par[new] = (state, dir_v)
             if q != q_end and last != opp_h:
-                c = cost + lagrange * (early if bits is None else bits[dir_h])
+                c = cost + lagrange * bits[dir_h]
                 new = ((recent + (dir_h,))[-k:], p, q + dq_h)
                 old = nxt.get(new)
                 if old is None or c < old:
@@ -269,9 +268,10 @@ class TestPriorWindow:
         cols = segment_vertical_columns(seg)
         params = AecParams(context_len=3, kappa=2.5)  # a model no other test fills
         cfg = ApproxConfig(lagrange=1.0, aec=params, swim=SwimConfig(block=8, window=4))
+        windows = set(context_model(params))
         with pytest.raises(ValueError, match="prior window"):
             segment_path_cost(seg, seg.dirs, ("S",), 5, color, cols, cfg)
-        assert not any(len(window) < 3 for window in context_model(params))
+        assert set(context_model(params)) == windows  # rejected before any edge is priced
 
     def test_empty_prior_with_full_count_rejected(self, rng):
         color = textured_color(rng, 40, 48)
@@ -499,6 +499,9 @@ class TestSegmentPathCost:
         cols = segment_vertical_columns(seg)
         with pytest.raises(ValueError, match="doubles back"):
             segment_path_cost(seg, seg.dirs, ("S", "E", "E"), 3, color, cols, small_cfg(1.0))
+        # an edge coded before K directions exist is priced by the same model
+        with pytest.raises(ValueError, match="doubles back"):
+            segment_path_cost(seg, seg.dirs, ("E",), 1, color, cols, small_cfg(1.0))
 
 
 class TestInterviewPenalty:

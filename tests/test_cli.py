@@ -63,6 +63,13 @@ def test_config_misspelled_merge_is_an_error(value):
     (parse_config, "config", "N = 12", "N"),
     (parse_config, "config", "threshold = 0", "threshold"),
     (parse_config, "config", "rho = -1", "rho"),
+    # knob values a sweep would run with but report meaningless rows for
+    (parse_config, "config", "lambdas = -1, 2", "lambdas"),
+    (parse_config, "config", "lambdas = nan", "lambdas"),
+    (parse_config, "config", "K = 3\nlambdas = 0,inf", "lambdas"),
+    (parse_config, "config", "rho = nan", "rho"),
+    (parse_config, "config", "kappa = nan", "kappa"),
+    (parse_config, "config", "omega = inf", "omega"),
     (parse_scene_spec, "scene spec", "width = 64\ntexture = foo", "texture"),
     (parse_scene_spec, "scene spec", "jitter = -1", "jitter"),
 ])
@@ -233,6 +240,23 @@ def test_sweep_failed_row_reports_nan_bits(monkeypatch):
     left, right = make_synthetic_scene(1, spec)
     lines = run_sweep(left, right, PipelineConfig(), (4.0,), spec.value_scale, timing=False).splitlines()
     assert lines[1].split(",")[:2] == ["4", "nan"]  # no rate was measured, so none is reported
+
+
+@pytest.mark.parametrize("lambdas", ["-1", "0,nan", "inf"])
+def test_sweep_rejects_bad_lambdas_override(tmp_path, lambdas):
+    out = tmp_path / "sweep.csv"
+    # the scene file does not exist: the override is checked before any input is read
+    with pytest.raises(ValueError, match="lagrange must be finite and >= 0"):
+        main(sweep_args(tmp_path / "missing.cfg", out, ["--lambdas", lambdas]))
+    assert not out.exists()
+
+
+def test_sweep_called_with_negative_lambda_writes_a_failed_row(capsys):
+    spec = SceneSpec(width=64, height=64, shapes=1, jitter=1, min_size=16, max_size=16, margin=24)
+    left, right = make_synthetic_scene(1, spec)
+    lines = run_sweep(left, right, PipelineConfig(), (-1.0,), spec.value_scale, timing=False).splitlines()
+    assert lines[1].split(",")[:3] == ["-1", "nan", "nan"]
+    assert "lambda=-1 failed" in capsys.readouterr().err
 
 
 def test_sweep_detects_once_per_view_and_times_it(monkeypatch):
