@@ -28,15 +28,15 @@ Rate terms are read from the coder's own context model
 edges before it, so what the DP minimizes is exactly what the coder will
 spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
-which converts the image to luminance once and memoizes Laplace scales and
-row distortions while the contour is approximated.
+which converts the image to luminance once and memoizes the 2W + 1 shift
+distortions of each (row, window); the DP reads one such vector per row and
+prices its path from its own rate and row-cost tables while backtracking.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +95,8 @@ class _RowCosts:
     distortion measured at ``q_orig``'s window anchor plus the inter-view
     penalty weight*(q - q_orig)^2; ``q_orig`` defaults to the segment's own
     edge column in that row.  ``color`` is an image or a row proxy of it.
-    Nothing is memoized here: the row proxy already keeps every distortion
-    of the contour.
+    Nothing is memoized here: the row proxy already keeps the shift
+    distortions of every window of the contour.
     """
 
     def __init__(self, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0):
@@ -104,28 +104,27 @@ class _RowCosts:
         self._cols = vertical_columns
         self._weight = penalty_weight
 
+    def _anchor(self, row: int, q_orig: int | None):
+        orig = self._cols[row] if q_orig is None else q_orig
+        return orig, window_anchor(orig, self._proxy.lum.shape[1], self._proxy.cfg.block)
+
     def cost(self, row: int, q: int, q_orig: int | None = None) -> float:
-        return self.grid([row], [q], q_orig)[0]
+        orig, anchor = self._anchor(row, q_orig)
+        return row_distortion(self._proxy, row, anchor, orig, q, self._proxy.cfg) + self._weight * (q - orig) ** 2
 
     def grid(self, rows, columns, q_orig: int | None = None) -> list:
-        """``cost(row, q, q_orig)`` for every row and column, row-major, with
-        each row's window anchor computed once."""
-        proxy, swim, weight = self._proxy, self._proxy.cfg, self._weight
+        """``cost(row, q, q_orig)`` for every row and column, row-major, from
+        one memoized shift-distortion vector per row."""
+        weight, window, inf = self._weight, self._proxy.cfg.window, math.inf
         out = []
         for row in rows:
-            orig = self._cols[row] if q_orig is None else q_orig
-            anchor = window_anchor(orig, proxy.lum.shape[1], swim.block)
-            out += [row_distortion(proxy, row, anchor, orig, q, swim) + weight * (q - orig) ** 2 for q in columns]
+            orig, anchor = self._anchor(row, q_orig)
+            shifted = self._proxy.shift_distortions(row, anchor)
+            out += [(shifted[q - orig + window] if -window <= q - orig <= window else inf) + weight * (q - orig) ** 2 for q in columns]
         return out
 
 
 row_cost_table = _RowCosts
-
-
-def _crossed_rows(seg: Segment):
-    p0 = seg.start[0]
-    p1 = segment_endpoint(seg)[0]
-    return range(p0, p1) if p1 >= p0 else range(p1, p0)
 
 
 def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
@@ -301,7 +300,8 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     prior = tuple(prior_dirs)[-k:]
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
-    missing = [r for r in _crossed_rows(seg) if r not in vertical_columns]
+    first_row, end_row = sorted((seg.start[0], segment_endpoint(seg)[0]))
+    missing = [r for r in range(first_row, end_row) if r not in vertical_columns]
     if missing:
         raise ValueError(f"vertical_columns missing rows {missing}")
 
@@ -324,14 +324,14 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     dp_v = DIR_VECTOR[dir_v][0]
     dq_h = DIR_VECTOR[dir_h][1]
     row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
-    row_cost = np.array(rows.grid(
+    row_costs = rows.grid(
         [p0 + dp_v * i + row_offset for i in range(v_count)],
         [q0 + dq_h * j for j in range(h_count + 1)],
-    ) + [0.0])  # the zero row cost of a horizontal move last
+    ) + [0.0]  # the zero row cost of a horizontal move last
 
     vertical = graph.vertical
     base = rate[2 * graph.window_ids[graph.parents] + ~vertical[:, None]]
-    edge_rows = row_cost[graph.cells][:, None]
+    edge_rows = np.array(row_costs)[graph.cells][:, None]
     cost = np.zeros(len(vertical) + 1)
     cost[-1] = math.inf
     pick = np.zeros(len(vertical), np.intp)
@@ -355,15 +355,20 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         original = segment_path_cost(seg, seg.dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
-    dirs = []
-    state = lo + best
+    path, state = [], lo + best  # (state, rate slot of its move), last edge first
     while state:
-        dirs.append(dir_v if vertical[state] else dir_h)
-        state = int(graph.parents[state, pick[state]])
-    dirs.reverse()
-    result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
-    return result, cost
+        parent = int(graph.parents[state, pick[state]])
+        path.append((state, 2 * int(graph.window_ids[parent]) + (not vertical[state])))
+        state = parent
+    total = rate = dist = 0.0
+    for state, slot in reversed(path):  # priced in edge order, as segment_path_cost does
+        edge = row_costs[graph.cells[state]]  # 0.0 for a horizontal move
+        total += cfg.lagrange * bits[slot]
+        total += edge
+        rate += bits[slot]
+        dist += edge
+    dirs = "".join(dir_v if vertical[state] else dir_h for state, _ in reversed(path))
+    return Segment(seg.start, seg.dirpair, dirs), RdCost(dist, rate, total)
 
 
 def project_onto_rectangle(a: Segment, b: Segment):
@@ -496,21 +501,3 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
     distortion = sum(s[2].distortion for s in slots)
     rate = estimate_rate(assembled, cfg.aec)
     return assembled, RdCost(distortion, rate, distortion + cfg.lagrange * rate)
-
-
-def contour_row_shifts(original: Contour, approximated: Contour):
-    """Per-row (original column, new column) pairs of vertical edges, matched
-    by the order rows are crossed along the two contours.
-
-    Both contours share endpoints, so they cross the same multiset of rows;
-    pairing in traversal order matches each vertical edge with its shifted
-    counterpart.
-    """
-
-    def crossings(c: Contour):
-        return [(row, q) for vertical, row, q in cracks(c.start, c.absolute_dirs()) if vertical]
-
-    by_row = defaultdict(deque)
-    for row, q in crossings(original):
-        by_row[row].append(q)
-    return [(row, by_row[row].popleft() if by_row[row] else q, q) for row, q in crossings(approximated)]

@@ -10,6 +10,7 @@ threshold (edge detection), disparity_scale, alphas, lambdas, seed, merge
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .aec import AecParams
@@ -38,8 +39,12 @@ class PipelineConfig:
     def __post_init__(self):
         for lam in (0.0, *self.lambdas):
             self.approx_config(lam)  # AecParams, SwimConfig and ApproxConfig check their fields
-        if not self.alphas:
-            raise ValueError("alphas must not be empty")
+        if not self.lambdas:
+            raise ValueError("lambdas must not be empty")
+        if not self.alphas or not all(0 < a < 1 for a in self.alphas):
+            raise ValueError("alphas must be a non-empty list of values in (0, 1)")
+        if not 0 < self.disparity_scale < math.inf:
+            raise ValueError("disparity_scale must be finite and > 0")
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
 
@@ -63,7 +68,8 @@ def _norm(text: str) -> float | None:
     return None if text.lower() in ("auto", "none") else float(text)
 
 
-def _floats(text: str) -> tuple:
+def parse_floats(text: str) -> tuple:
+    """Comma-separated floats; empty items are skipped."""
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
@@ -88,8 +94,8 @@ _KEYS = {
     "rho": ("rho", float),
     "threshold": ("threshold", int),
     "disparity_scale": ("disparity_scale", float),
-    "alphas": ("alphas", _floats),
-    "lambdas": ("lambdas", _floats),
+    "alphas": ("alphas", parse_floats),
+    "lambdas": ("lambdas", parse_floats),
     "seed": ("seed", int),
     "merge": ("merge", _flag),
 }

@@ -15,7 +15,8 @@ edges[i] <= x < edges[i + 1] with the last bin closed: the bins
 The proxy replaces the per-block histogram comparison by per-row comparisons
 of fitted Laplace scales, which have a closed-form KS distance; row
 distortions are evaluated with a shifting N-pixel window on the input color
-image so no view synthesis is needed inside the optimizer.
+image so no view synthesis is needed inside the optimizer (one stacked fit
+per window covers its 2W + 1 shifts, bit-equal to fitting them one by one).
 
 Note the closed form drops the constant 1/2 of the Laplace CDFs, i.e. it
 equals twice the true KS distance; it still lies in [0, 1].
@@ -53,8 +54,8 @@ class SwimConfig:
             raise ValueError("window must be >= 0")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-        if self.norm is not None and self.norm <= 0:
-            raise ValueError("norm must be > 0")
+        if self.norm is not None and not 0 < self.norm < math.inf:
+            raise ValueError("norm must be finite and > 0")
 
 
 def luminance(image) -> np.ndarray:
@@ -237,44 +238,49 @@ def window_anchor(q: int, width: int, block: int) -> int:
 class RowProxy:
     """Row-distortion proxy of one image under one SwimConfig.
 
-    The image is converted to luminance once; Laplace scales are memoized by
-    (row, window start) and distortions by (row, window start, shift).  The
-    proxy is valid only while the image does not change: build a new one
+    The image is converted to luminance once; the distortions of a window's
+    2W + 1 shifts are computed together and memoized by (row, window start).
+    The proxy is valid only while the image does not change: build a new one
     after editing the image.
     """
 
     def __init__(self, image, cfg: SwimConfig):
         self.lum = luminance(image)
         self.cfg = cfg
-        self._scales = {}
-        self._distortions = {}
+        self._shifts = {}
 
-    def _scale(self, row: int, start: int) -> float:
-        key = (row, start)
-        scale = self._scales.get(key)
-        if scale is None:
-            scale = self._scales[key] = laplace_fit(haar_row(self.lum[row, start : start + self.cfg.block]))
-        return scale
-
-    def distortion(self, row: int, window_start: int, shift: int) -> float:
-        """Distortion of shifting the edge by ``shift`` columns; the
-        comparison window starts at ``window_start - shift``."""
-        key = (row, window_start, shift)
-        value = self._distortions.get(key)
-        if value is None:
+    def shift_distortions(self, row: int, window_start: int) -> list:
+        """Distortions of shifting the edge by -W..W columns, indexed by
+        shift + W; inf where the comparison window leaves the image."""
+        key = (row, window_start)
+        out = self._shifts.get(key)
+        if out is None:
             h, w = self.lum.shape
-            n = self.cfg.block
+            n, win = self.cfg.block, self.cfg.window
             if not 0 <= row < h:
                 raise ValueError("row out of image")
             if window_start < 0 or window_start + n > w:
                 raise ValueError("window out of image")
-            shifted = window_start - shift
-            if abs(shift) > self.cfg.window or shifted < 0 or shifted + n > w:
-                value = math.inf
-            else:
-                value = laplace_ks(self._scale(row, window_start), self._scale(row, shifted))
-            self._distortions[key] = value
-        return value
+            # one haar_row pass over the in-image windows start - W .. start + W;
+            # C-contiguous magnitudes sum each window in the pairwise order
+            # laplace_fit uses on one window, so the scales are bit-equal
+            lo, hi = max(window_start - win, 0), min(window_start + win, w - n)
+            stack = sliding_window_view(self.lum[row, lo : hi + n], n)
+            coeffs = np.ascontiguousarray(np.abs(haar_row(stack)))
+            scales = (np.add.reduce(coeffs, axis=-1) / (n - 1)).tolist()
+            own = scales[window_start - lo]
+            # shifting the edge by s compares against the window at start - s
+            out = self._shifts[key] = [
+                laplace_ks(own, scales[start - lo]) if lo <= start <= hi else math.inf
+                for start in range(window_start + win, window_start - win - 1, -1)
+            ]
+        return out
+
+    def distortion(self, row: int, window_start: int, shift: int) -> float:
+        """Distortion of shifting the edge by ``shift`` columns; the
+        comparison window starts at ``window_start - shift``."""
+        out = self.shift_distortions(row, window_start)
+        return out[shift + self.cfg.window] if abs(shift) <= self.cfg.window else math.inf
 
 
 def row_proxy(image, cfg: SwimConfig) -> RowProxy:

@@ -1,8 +1,10 @@
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from contourcodec.contour import ABSOLUTE, OPPOSITE, Contour, to_relative
+from contourcodec.contour import ABSOLUTE, OPPOSITE, Contour, cracks, to_relative
 from contourcodec.image_io import ColorImage
 
 # one profile for every property test: example timings on a small shared
@@ -42,3 +44,21 @@ def contour_from_boundary_columns(bcols, start_row: int = 0) -> Contour:
             dirs.extend([d] * abs(b - bcols[r - 1]))
         dirs.append("S")
     return to_relative((start_row, bcols[0]), dirs)
+
+
+def contour_row_shifts(original: Contour, approximated: Contour):
+    """Per-row (original column, new column) pairs of vertical edges, matched
+    by the order rows are crossed along the two contours.
+
+    Both contours share endpoints, so they cross the same multiset of rows;
+    pairing in traversal order matches each vertical edge with its shifted
+    counterpart.
+    """
+
+    def crossings(c: Contour):
+        return [(row, q) for vertical, row, q in cracks(c.start, c.absolute_dirs()) if vertical]
+
+    by_row = defaultdict(deque)
+    for row, q in crossings(original):
+        by_row[row].append(q)
+    return [(row, by_row[row].popleft() if by_row[row] else q, q) for row, q in crossings(approximated)]

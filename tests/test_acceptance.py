@@ -12,13 +12,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_contour, textured_color
+from conftest import contour_row_shifts, random_contour, textured_color
 from contourcodec import aec
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
     approximate_segment,
-    contour_row_shifts,
     row_cost_table,
     segment_path_cost,
 )

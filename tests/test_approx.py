@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import textured_color
@@ -12,7 +12,6 @@ from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
     RdCost,
-    _crossed_rows,
     _GraphMemo,
     _LayerGraph,
     approximate_contour,
@@ -34,7 +33,16 @@ from contourcodec.contour import (
     split_segments,
 )
 from contourcodec.image_io import ColorImage, DepthImage
-from contourcodec.swim import SwimConfig, row_distortion
+from contourcodec.swim import (
+    RowProxy,
+    SwimConfig,
+    haar_row,
+    laplace_fit,
+    laplace_ks,
+    luminance,
+    row_distortion,
+    window_anchor,
+)
 
 SMALL = dict(aec=AecParams(), swim=SwimConfig(block=8, window=4))
 
@@ -99,7 +107,8 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
         prior_count = len(prior)
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
-    missing = [r for r in _crossed_rows(seg) if r not in vertical_columns]
+    first_row, end_row = sorted((seg.start[0], segment_endpoint(seg)[0]))
+    missing = [r for r in range(first_row, end_row) if r not in vertical_columns]
     if missing:
         raise ValueError(f"vertical_columns missing rows {missing}")
 
@@ -238,6 +247,57 @@ class TestTieRule:
                         assert _outcome(approximate_segment, args, options) == _outcome(dict_dp_segment, args, options)
 
 
+def _scalar_row_cost(lum, row, q_orig, q, swim, weight):
+    """(row distortion, shifted-edge cost) from two scalar window fits."""
+    n, w = swim.block, lum.shape[1]
+    start = window_anchor(q_orig, w, n)
+    shifted = start - (q - q_orig)
+    if abs(q - q_orig) > swim.window or not 0 <= shifted <= w - n:
+        distortion = math.inf
+    else:
+        u, v = lum[row, start : start + n], lum[row, shifted : shifted + n]
+        distortion = laplace_ks(laplace_fit(haar_row(u)), laplace_fit(haar_row(v)))
+    return distortion, distortion + weight * (q - q_orig) ** 2
+
+
+@st.composite
+def row_fill_cases(draw):
+    """Noise images with N 2-32 and W 0-12; edge columns drawn often at the
+    image edges, so windows sit at both ends of a row."""
+    n = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    height, width = draw(st.integers(1, 4)), draw(st.integers(n, n + 30))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 256, (height, width, 3), dtype=np.uint8)
+    edge_column = st.sampled_from([0, width]) | st.integers(0, width)
+    rows = draw(st.lists(st.integers(0, height - 1), min_size=1, max_size=4))
+    cols = {row: draw(edge_column) for row in rows}
+    swim = SwimConfig(block=n, window=draw(st.integers(0, 12)))
+    return ColorImage(pixels), swim, rows, cols, draw(st.none() | edge_column), draw(st.sampled_from([0.0, 1.0, 1e6]))
+
+
+class TestRowCostFill:
+    """The row proxy fits the 2W + 1 windows of one shift vector in one
+    stacked pass; every cost read from it must equal the scalar fits."""
+
+    @settings(max_examples=300)
+    @given(row_fill_cases())
+    def test_grid_and_proxy_match_scalar_fits(self, case):
+        image, swim, rows, cols, q_orig, weight = case
+        lum = luminance(image)
+        table = row_cost_table(image, cols, ApproxConfig(swim=swim), weight)
+        proxy = RowProxy(image, swim)
+        origs = [cols[row] if q_orig is None else q_orig for row in rows]
+        columns = range(min(origs) - swim.window - 2, max(origs) + swim.window + 3)  # beyond +-W on both sides
+        expected = []
+        for row, orig in zip(rows, origs):
+            start = window_anchor(orig, lum.shape[1], swim.block)
+            for q in columns:
+                distortion, cost = _scalar_row_cost(lum, row, orig, q, swim, weight)
+                assert proxy.distortion(row, start, q - orig) == distortion
+                assert table.cost(row, q, q_orig) == cost
+                expected.append(cost)
+        assert table.grid(rows, columns, q_orig) == expected
+
+
 class TestGraphMemo:
     def test_least_recently_used_graphs_go_first(self):
         keys = [(3, 2, 2, ()), (3, 4, 4, ()), (3, 1, 1, ())]
@@ -363,6 +423,23 @@ class TestApproximateSegment:
         recomputed = segment_path_cost(out, out.dirs, (), 0, color, cols, cfg)
         assert cost.total == recomputed.total
         assert abs(cost.total - (cost.distortion + cfg.lagrange * cost.rate)) <= 1e-9
+
+    @settings(max_examples=300)
+    @given(tie_heavy_cases(), st.integers(0, 2**16))
+    def test_backtracked_cost_is_the_path_cost(self, case, seed):
+        # the DP prices its path from its own tables while backtracking; the
+        # explicit-path pricer must give a repr-equal cost for that path
+        (seg, prior, _, cols, cfg), options, _ = case
+        color = textured_color(np.random.default_rng(seed), 40, 48)
+        try:
+            out, cost = approximate_segment(seg, prior, color, cols, cfg, **options)
+        except ValueError:
+            assume(False)  # a prior window that blocks every first move
+        path = segment_path_cost(out, out.dirs, prior, len(prior), color, cols, cfg, options["penalty_weight"])
+        if math.isinf(cost.total):  # every path infinite: the original, priced at its rate
+            assert out == seg and repr(cost) == repr(RdCost(math.inf, path.rate, math.inf))
+        else:
+            assert repr(cost) == repr(path)
 
 
 def pair_costs(a, b, prior, color, cfg):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contour_from_boundary_columns, textured_color
+from conftest import contour_from_boundary_columns, contour_row_shifts, textured_color
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import ApproxConfig, approximate_contour
 from contourcodec.augment import (
@@ -316,8 +316,6 @@ class TestApproximateStereo:
         moved = 0
         total = 0
         for orig, appr in zip(res.right.original_contours, res.right.contours):
-            from contourcodec.approx import contour_row_shifts
-
             for _, qo, qn in contour_row_shifts(orig, appr):
                 total += 1
                 moved += qo != qn

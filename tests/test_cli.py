@@ -70,6 +70,13 @@ def test_config_misspelled_merge_is_an_error(value):
     (parse_config, "config", "rho = nan", "rho"),
     (parse_config, "config", "kappa = nan", "kappa"),
     (parse_config, "config", "omega = inf", "omega"),
+    (parse_config, "config", "D0 = nan", "D0"),
+    (parse_config, "config", "D0 = inf", "D0"),
+    (parse_config, "config", "alphas = nan", "alphas"),
+    (parse_config, "config", "alphas = 0.5, 2", "alphas"),
+    (parse_config, "config", "disparity_scale = nan", "disparity_scale"),
+    (parse_config, "config", "seed = 4\ndisparity_scale = -3", "disparity_scale"),
+    (parse_config, "config", "lambdas = ,", "lambdas"),
     (parse_scene_spec, "scene spec", "width = 64\ntexture = foo", "texture"),
     (parse_scene_spec, "scene spec", "jitter = -1", "jitter"),
 ])
@@ -248,6 +255,13 @@ def test_sweep_rejects_bad_lambdas_override(tmp_path, lambdas):
     # the scene file does not exist: the override is checked before any input is read
     with pytest.raises(ValueError, match="lagrange must be finite and >= 0"):
         main(sweep_args(tmp_path / "missing.cfg", out, ["--lambdas", lambdas]))
+    assert not out.exists()
+
+
+def test_sweep_rejects_empty_lambdas_override(tmp_path):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="lambdas must not be empty"):
+        main(sweep_args(tmp_path / "missing.cfg", out, ["--lambdas", ","]))
     assert not out.exists()
 
 

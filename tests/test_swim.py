@@ -492,11 +492,16 @@ def _raw_row_distortion(lum, row, start, shift, cfg):
 
 
 class TestRowProxy:
-    # The proxy memoizes scales computed one window at a time.  A table built
-    # in one vectorized pass is not a drop-in replacement: np.mean over the
-    # last axis of a window stack sums in a different order than np.mean of
-    # one window, and on a 96x128 image of uniform noise (default_rng(0)) the
-    # two scales differed in the last bit for 2328 of its 10848 windows.
+    # The proxy fits a stack of windows in one pass.  Its scales equal the
+    # scalar fits of raw slices only because the coefficient magnitudes are
+    # made C-contiguous before the sum: over the last axis of that layout
+    # numpy sums each window pairwise, as np.mean does on one window, while
+    # on the layout haar_row leaves for a sliding_window_view stack it adds
+    # the columns in sequence.  On 96x128 uniform noise (default_rng(0)
+    # .random) with N = 16 that layout changed the last bit of 2164 of the
+    # 10848 scales.  Windows of 8 or fewer pixels have too few coefficients
+    # to tell the orders apart; test_approx.py's TestRowCostFill covers N up
+    # to 32.
     @given(
         seed=st.integers(0, 2 ** 32 - 1),
         height=st.integers(1, 6),
