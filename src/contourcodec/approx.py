@@ -29,8 +29,7 @@ edges before it, so what the DP minimizes is exactly what the coder will
 spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
 which converts the image to luminance once and memoizes the 2W + 1 shift
-distortions of each (row, window); the DP reads one such vector per row and
-prices its path from its own rate and row-cost tables while backtracking.
+distortions of each (row, window); the DP reads one such vector per row.
 """
 
 from __future__ import annotations
@@ -115,12 +114,11 @@ class _RowCosts:
     def grid(self, rows, columns, q_orig: int | None = None) -> list:
         """``cost(row, q, q_orig)`` for every row and column, row-major, from
         one memoized shift-distortion vector per row."""
-        weight, window, inf = self._weight, self._proxy.cfg.window, math.inf
-        out = []
+        weight, out = self._weight, []
         for row in rows:
             orig, anchor = self._anchor(row, q_orig)
-            shifted = self._proxy.shift_distortions(row, anchor)
-            out += [(shifted[q - orig + window] if -window <= q - orig <= window else inf) + weight * (q - orig) ** 2 for q in columns]
+            shifts = [q - orig for q in columns]
+            out += [d + weight * s ** 2 for d, s in zip(self._proxy.distortions(row, anchor, shifts), shifts)]
         return out
 
 
@@ -324,14 +322,14 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     dp_v = DIR_VECTOR[dir_v][0]
     dq_h = DIR_VECTOR[dir_h][1]
     row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
-    row_costs = rows.grid(
+    row_cost = np.array(rows.grid(
         [p0 + dp_v * i + row_offset for i in range(v_count)],
         [q0 + dq_h * j for j in range(h_count + 1)],
-    ) + [0.0]  # the zero row cost of a horizontal move last
+    ) + [0.0])  # the zero row cost of a horizontal move last
 
     vertical = graph.vertical
     base = rate[2 * graph.window_ids[graph.parents] + ~vertical[:, None]]
-    edge_rows = np.array(row_costs)[graph.cells][:, None]
+    edge_rows = row_cost[graph.cells][:, None]
     cost = np.zeros(len(vertical) + 1)
     cost[-1] = math.inf
     pick = np.zeros(len(vertical), np.intp)
@@ -355,20 +353,15 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         original = segment_path_cost(seg, seg.dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
-    path, state = [], lo + best  # (state, rate slot of its move), last edge first
+    dirs = []
+    state = lo + best
     while state:
-        parent = int(graph.parents[state, pick[state]])
-        path.append((state, 2 * int(graph.window_ids[parent]) + (not vertical[state])))
-        state = parent
-    total = rate = dist = 0.0
-    for state, slot in reversed(path):  # priced in edge order, as segment_path_cost does
-        edge = row_costs[graph.cells[state]]  # 0.0 for a horizontal move
-        total += cfg.lagrange * bits[slot]
-        total += edge
-        rate += bits[slot]
-        dist += edge
-    dirs = "".join(dir_v if vertical[state] else dir_h for state, _ in reversed(path))
-    return Segment(seg.start, seg.dirpair, dirs), RdCost(dist, rate, total)
+        dirs.append(dir_v if vertical[state] else dir_h)
+        state = int(graph.parents[state, pick[state]])
+    dirs.reverse()
+    result = Segment(seg.start, seg.dirpair, "".join(dirs))
+    cost = segment_path_cost(result, dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
+    return result, cost
 
 
 def project_onto_rectangle(a: Segment, b: Segment):

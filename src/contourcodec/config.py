@@ -68,8 +68,7 @@ def _norm(text: str) -> float | None:
     return None if text.lower() in ("auto", "none") else float(text)
 
 
-def parse_floats(text: str) -> tuple:
-    """Comma-separated floats; empty items are skipped."""
+def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
@@ -94,8 +93,8 @@ _KEYS = {
     "rho": ("rho", float),
     "threshold": ("threshold", int),
     "disparity_scale": ("disparity_scale", float),
-    "alphas": ("alphas", parse_floats),
-    "lambdas": ("lambdas", parse_floats),
+    "alphas": ("alphas", _floats),
+    "lambdas": ("lambdas", _floats),
     "seed": ("seed", int),
     "merge": ("merge", _flag),
 }

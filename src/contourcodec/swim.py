@@ -249,7 +249,7 @@ class RowProxy:
         self.cfg = cfg
         self._shifts = {}
 
-    def shift_distortions(self, row: int, window_start: int) -> list:
+    def _vector(self, row: int, window_start: int) -> list:
         """Distortions of shifting the edge by -W..W columns, indexed by
         shift + W; inf where the comparison window leaves the image."""
         key = (row, window_start)
@@ -276,11 +276,15 @@ class RowProxy:
             ]
         return out
 
+    def distortions(self, row: int, window_start: int, shifts) -> list:
+        """Distortion of shifting the edge by each of ``shifts`` columns (inf
+        beyond the match window); for a shift s the comparison window starts
+        at ``window_start - s``."""
+        vector, win, inf = self._vector(row, window_start), self.cfg.window, math.inf
+        return [vector[s + win] if -win <= s <= win else inf for s in shifts]
+
     def distortion(self, row: int, window_start: int, shift: int) -> float:
-        """Distortion of shifting the edge by ``shift`` columns; the
-        comparison window starts at ``window_start - shift``."""
-        out = self.shift_distortions(row, window_start)
-        return out[shift + self.cfg.window] if abs(shift) <= self.cfg.window else math.inf
+        return self.distortions(row, window_start, (shift,))[0]
 
 
 def row_proxy(image, cfg: SwimConfig) -> RowProxy:

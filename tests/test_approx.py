@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import textured_color
@@ -423,23 +423,6 @@ class TestApproximateSegment:
         recomputed = segment_path_cost(out, out.dirs, (), 0, color, cols, cfg)
         assert cost.total == recomputed.total
         assert abs(cost.total - (cost.distortion + cfg.lagrange * cost.rate)) <= 1e-9
-
-    @settings(max_examples=300)
-    @given(tie_heavy_cases(), st.integers(0, 2**16))
-    def test_backtracked_cost_is_the_path_cost(self, case, seed):
-        # the DP prices its path from its own tables while backtracking; the
-        # explicit-path pricer must give a repr-equal cost for that path
-        (seg, prior, _, cols, cfg), options, _ = case
-        color = textured_color(np.random.default_rng(seed), 40, 48)
-        try:
-            out, cost = approximate_segment(seg, prior, color, cols, cfg, **options)
-        except ValueError:
-            assume(False)  # a prior window that blocks every first move
-        path = segment_path_cost(out, out.dirs, prior, len(prior), color, cols, cfg, options["penalty_weight"])
-        if math.isinf(cost.total):  # every path infinite: the original, priced at its rate
-            assert out == seg and repr(cost) == repr(RdCost(math.inf, path.rate, math.inf))
-        else:
-            assert repr(cost) == repr(path)
 
 
 def pair_costs(a, b, prior, color, cfg):

@@ -258,10 +258,12 @@ def test_sweep_rejects_bad_lambdas_override(tmp_path, lambdas):
     assert not out.exists()
 
 
-def test_sweep_rejects_empty_lambdas_override(tmp_path):
+@pytest.mark.parametrize("lambdas", [",", "0,,8", "4,"])
+def test_sweep_rejects_empty_lambdas_items(tmp_path, lambdas):
+    # unlike the config file's list, the override skips no empty item
     out = tmp_path / "sweep.csv"
-    with pytest.raises(ValueError, match="lambdas must not be empty"):
-        main(sweep_args(tmp_path / "missing.cfg", out, ["--lambdas", ","]))
+    with pytest.raises(ValueError, match="could not convert string to float: ''"):
+        main(sweep_args(tmp_path / "missing.cfg", out, ["--lambdas", lambdas]))
     assert not out.exists()
 
 
