@@ -10,18 +10,18 @@ re-optimizing the pair inside their joint rectangle, plus the distortion of
 projecting out-of-rectangle original edges onto it, beats the pair's summed
 cost.
 
-The segment DP is table driven.  Which states exist, the order a DP first
-reaches them in (layer by layer, vertical move first) and each state's
-candidate parents in arrival order depend only on K, the segment's vertical
-and horizontal step counts and the prior window written over {vertical,
-horizontal, opposite vertical, opposite horizontal}, not on any cost.  That
-layer graph is built once per such key and kept in a memo that drops the
-least recently used graphs beyond 2^19 states in all; each call only fills
-a rate vector per (window, move) and a row-cost table per (row, column) and
-runs one gather, add and ``argmin`` per anti-diagonal.  ``argmin`` returns
-the first minimum, so a state keeps its first arrival unless a later one is
-strictly cheaper: the strict-``<``, first-inserted rule of a dict DP, which
-fixes the path among equal-cost ones.
+The segment DP runs over dense states.  After t moves a state is (i, m):
+i vertical moves made and m the last min(t, K) moves as bits, which with
+the prior window fix the context of the next edge.  For a segment of V
+vertical moves each anti-diagonal is one 2^K x (V + 2) cost table, updated
+by four ufunc calls: add the rate of each (window, move), add the row cost
+of each vertical move, compare the two parents a state can have (their
+windows differ only in the move they drop) and keep the smaller.  Nothing
+is built or kept per segment shape.  The ties are those of a dict DP that
+inserts a state on its first arrival and replaces it only on a strictly
+cheaper one, which fixes the path among equal-cost ones: of two parents the
+one that dropped a horizontal move arrives first, and end states arrive by
+(more horizontal moves in the window first, then ascending mask).
 
 Rate terms are read from the coder's own context model
 (``aec.context_model``), which prices every edge from the window of the
@@ -155,124 +155,6 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     return RdCost(dist, rate, total)
 
 
-# relative symbols of a layer-graph window: the segment's vertical and
-# horizontal direction, then their opposites (only a prior window holds those)
-_V, _H, _OPP_V, _OPP_H = range(4)
-_GRAPH_STATES = 1 << 19  # memo budget: about 8 MB of layer graphs
-
-
-def _interleave(vertical, horizontal) -> np.ndarray:
-    """Per-parent (vertical, horizontal) candidate values, flattened in
-    arrival order."""
-    out = np.empty((len(vertical), 2), np.result_type(vertical, horizontal))
-    out[:, 0] = vertical
-    out[:, 1] = horizontal
-    return out.ravel()
-
-
-class _LayerGraph:
-    """Cost-free state graph of the segment DP.
-
-    A state is (context window, head corner).  States are numbered
-    anti-diagonal by anti-diagonal (0 is the start corner) in the order a DP
-    that walks each layer's states in order, trying the vertical move before
-    the horizontal one, first reaches them.  Row ``s`` of ``parents`` holds
-    the candidate parents of state ``s`` in that arrival order, padded with
-    -1 (the index of an infinite-cost sentinel).  There are at most two:
-    parents of one state differ only in the symbol their window drops, a
-    move of the segment.  ``vertical`` flags the states entered by a
-    vertical move and ``cells`` indexes the per-segment row-cost vector for
-    that move (the last slot being the zero row cost of a horizontal move).
-    ``window_ids`` numbers the window of every state that is a parent in
-    ``windows`` (relative symbols, oldest first); end states read 0 and the
-    sentinel ``len(windows)``.  ``layers`` are the (start, stop) state
-    ranges of the anti-diagonals.
-    """
-
-    def __init__(self, k: int, v_count: int, h_count: int, prior: tuple):
-        width = h_count + 1
-        zero_slot = v_count * width
-        full = 4**k
-        size = len(prior)
-        # a window's symbols in base 4; its key adds 4**k times its length
-        codes = np.array([sum(s * 4**e for e, s in enumerate(reversed(prior)))])
-        ivert = np.zeros(1, np.intp)  # vertical moves made, per state
-        parents = [np.full((1, 2), -1)]
-        cells = [np.full(1, zero_slot)]
-        windows = [full * size + codes]
-        self.layers = []
-        stop = 1
-        for t in range(1, v_count + h_count + 1):
-            last = codes % 4 if size else np.full(codes.size, -1)
-            valid = _interleave((ivert != v_count) & (last != _OPP_V), (t - 1 - ivert != h_count) & (last != _OPP_H))
-            if not valid.any():
-                raise ValueError("unreachable endpoint: malformed segment")
-            parent = np.arange(stop - codes.size, stop).repeat(2)[valid]
-            cell = _interleave(ivert * width + t - 1 - ivert, zero_slot)[valid]
-            child_code = _interleave(codes * 4 % full + _V, codes * 4 % full + _H)[valid]
-            child_i = _interleave(ivert + 1, ivert)[valid]
-            keys, first, inverse = np.unique(child_code * (v_count + 1) + child_i, return_index=True, return_inverse=True)
-            order = np.argsort(first)  # children in order of first arrival
-            child = np.argsort(order)[inverse]
-            first = first[order]
-            second = np.flatnonzero(np.arange(child.size) != first[child])
-            table = np.full((order.size, 2), -1)
-            table[:, 0] = parent[first]
-            table[child[second], 1] = parent[second]
-            parents.append(table)
-            cells.append(cell[first])
-            codes, ivert = np.divmod(keys[order], v_count + 1)
-            size = min(size + 1, k)
-            windows.append(full * size + codes)
-            self.layers.append((stop, stop + order.size))
-            stop += order.size
-        self.parents = np.concatenate(parents).astype(np.int32)
-        self.cells = np.concatenate(cells).astype(np.int32)
-        self.vertical = self.cells != zero_slot
-        used, ids = np.unique(np.concatenate(windows[:-1]), return_inverse=True)
-        self.window_ids = np.zeros(stop + 1, np.int16)
-        self.window_ids[: ids.size] = ids
-        self.window_ids[-1] = used.size
-        self.windows = []
-        for key in used.tolist():
-            size, code = divmod(key, full)
-            self.windows.append(tuple((code >> (2 * e)) & 3 for e in reversed(range(size))))
-
-
-class _GraphMemo:
-    """Layer graphs by (K, V, H, relative prior window), built on first use.
-
-    Once the kept graphs hold more than ``budget`` states in all, the least
-    recently used ones are dropped (the newest is always kept); ``hits``,
-    ``misses`` and ``states`` count the memo's work and size.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.hits = self.misses = self.states = 0
-        self._graphs = {}
-
-    def __len__(self) -> int:
-        return len(self._graphs)
-
-    def __call__(self, k: int, v_count: int, h_count: int, prior: tuple) -> _LayerGraph:
-        key = (k, v_count, h_count, prior)
-        graph = self._graphs.pop(key, None)
-        if graph is None:
-            self.misses += 1
-            graph = _LayerGraph(*key)
-            self.states += graph.vertical.size
-        else:
-            self.hits += 1
-        self._graphs[key] = graph
-        while self.states > self.budget and len(self._graphs) > 1:
-            self.states -= self._graphs.pop(next(iter(self._graphs))).vertical.size
-        return graph
-
-
-layer_graph = _GraphMemo(_GRAPH_STATES)
-
-
 def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, penalty_weight: float = 0.0, forbidden_last: str | None = None):
     """Minimize distortion + lambda*rate over all same-endpoint paths.
 
@@ -285,12 +167,19 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     ``color`` is the view's color image or a ``swim.RowProxy`` of it;
     callers that approximate several segments of one image share one proxy.
 
-    The DP runs over the states of the segment's memoized ``_LayerGraph``,
-    one anti-diagonal at a time: a state's candidates cost ``(parent cost +
-    lambda * bits) + row cost`` and ``argmin`` keeps the first minimum in
-    arrival order, which is the rule of a dict DP that inserts a state on
-    its first arrival and replaces it only on a strictly smaller cost.  Ties
-    in the final layer go to the first state reached, too.
+    After t moves a state is (i, m): i vertical moves made and m the last
+    min(t, K) moves as bits (vertical 0, horizontal 1, newest in bit 0).
+    Each anti-diagonal is one 2^K x (V + 2) cost table by (m, i + 1); its
+    column 0 is an infinite sentinel, the parent of a vertical move into
+    i = 0.  The two parents of a state differ only in the oldest move their
+    window drops; one strided view reads both, and a candidate costs
+    ``(parent cost + lambda * bits) + row cost``.  Ties follow a dict DP
+    that inserts a state on its first arrival and replaces it only on a
+    strictly smaller cost: the parent that dropped a horizontal move arrives
+    first, so the other one wins only when strictly cheaper, and end states
+    arrive by (more horizontal moves in the window first, then ascending
+    mask).  No mask bounds the horizontal moves: a state past H never
+    reaches the end corner.
 
     Returns (approximated Segment, RdCost).
     """
@@ -303,49 +192,70 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     if missing:
         raise ValueError(f"vertical_columns missing rows {missing}")
 
-    dir_v, dir_h = seg.dirpair
-    absolute = (dir_v, dir_h, OPPOSITE[dir_v], OPPOSITE[dir_h])
+    moves = seg.dirpair  # move bit 0 is vertical, 1 horizontal
     v_count = seg.vertical_count
-    h_count = seg.length - v_count
-    graph = layer_graph(k, v_count, h_count, tuple(absolute.index(d) for d in prior))
+    length = seg.length
+    h_count = length - v_count
+    # a first move back against the prior's last direction is never taken
+    blocked = [move for move, d in enumerate(moves) if prior and OPPOSITE[d] == prior[-1]]
+    if blocked and (v_count, h_count)[1 - blocked[0]] == 0:
+        raise ValueError("unreachable endpoint: malformed segment")
 
+    # rate of each move from each window: layer t < K reads the prior's tail
+    # and the t moves of m, every later layer the K moves of m
     model = context_model(cfg.aec)
+    masks = 1 << k
+    half = masks >> 1
+    windows = [prior]
     bits = []
-    for window in graph.windows:
-        # a move back against the window's last direction is never taken
-        window_bits = model[tuple(absolute[s] for s in window)][0]
-        bits += [window_bits.get(dir_v, 0.0), window_bits.get(dir_h, 0.0)]
-    rate = np.append(cfg.lagrange * np.array(bits), [0.0, 0.0])  # the sentinel's window last
+    for t in range(min(k, length - 1) + 1):
+        if t:
+            windows = [(window + (d,))[-k:] for window in windows for d in moves]
+        for window in windows:
+            window_bits = model[window][0]
+            bits += [window_bits.get(moves[0], 0.0), window_bits.get(moves[1], 0.0)]
+        bits += [0.0] * (2 * (masks - len(windows)))  # windows of unreached masks
+    rate = cfg.lagrange * np.array(bits).reshape(-1, 2, half, 2, 1)  # (layer, m's oldest move, rest of m, move, i)
+    for move in blocked:
+        rate[0, 0, 0, move] = math.inf
 
+    # vertical row costs by (i + 1, j), zero past H and in the sentinel row 0
     rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
     p0, q0 = seg.start
-    dp_v = DIR_VECTOR[dir_v][0]
-    dq_h = DIR_VECTOR[dir_h][1]
-    row_offset = crack((0, 0), dir_v)[1]  # pixel row of a vertical edge leaving (p, q)
-    row_cost = np.array(rows.grid(
+    dp_v = DIR_VECTOR[moves[0]][0]
+    dq_h = DIR_VECTOR[moves[1]][1]
+    row_offset = crack((0, 0), moves[0])[1]  # pixel row of a vertical edge leaving (p, q)
+    grid = np.zeros((v_count + 1, length + 1))
+    grid[1:, : h_count + 1] = np.array(rows.grid(
         [p0 + dp_v * i + row_offset for i in range(v_count)],
         [q0 + dq_h * j for j in range(h_count + 1)],
-    ) + [0.0])  # the zero row cost of a horizontal move last
+    )).reshape(v_count, h_count + 1)
+    # a vertical move into (i, m) after t moves leaves (i - 1, t - i + 1)
+    f8 = grid.itemsize
+    step_rows = np.ndarray((length, v_count + 1), float, grid, f8, (f8, f8 * length))
 
-    vertical = graph.vertical
-    base = rate[2 * graph.window_ids[graph.parents] + ~vertical[:, None]]
-    edge_rows = row_cost[graph.cells][:, None]
-    cost = np.zeros(len(vertical) + 1)
-    cost[-1] = math.inf
-    pick = np.zeros(len(vertical), np.intp)
-    for lo, hi in graph.layers:
-        cand = cost[graph.parents[lo:hi]] + base[lo:hi]
-        cand += edge_rows[lo:hi]
-        pick[lo:hi] = cand.argmin(axis=1)
-        cost[lo:hi] = cand.min(axis=1)
+    # two anti-diagonals of costs by (m, i + 1); column 0 is the sentinel
+    size = v_count + 2
+    cost = np.full((2, masks, size), math.inf)
+    cost[0, 0, 1] = 0.0
+    table = f8 * masks * size
+    # state (i, 2r + move) has the parents (i - 1 + move, dropped * 2^(K-1) + r)
+    parents = [np.ndarray((2, half, 2, v_count + 1), float, cost, s * table, (f8 * half * size, f8 * size, f8, f8)) for s in (0, 1)]
+    children = [np.ndarray((half, 2, v_count + 1), float, cost, s * table + f8, (f8 * 2 * size, f8 * size, f8)) for s in (0, 1)]
+    cand = np.empty((2, half, 2, v_count + 1))
+    vertical, dropped_v, dropped_h = cand[:, :, 0], cand[0], cand[1]
+    picks = np.empty((length, half, 2, v_count + 1), bool)  # True: the parent that dropped V
+    for t in range(length):
+        np.add(parents[t & 1], rate[min(t, k)], out=cand)
+        np.add(vertical, step_rows[t], out=vertical)
+        np.less(dropped_v, dropped_h, out=picks[t])
+        np.minimum(dropped_v, dropped_h, out=children[~t & 1])
 
-    lo, hi = graph.layers[-1]
-    final = cost[lo:hi].copy()
-    if forbidden_last == dir_v:
-        final[vertical[lo:hi]] = math.inf
-    elif forbidden_last == dir_h:
-        final[~vertical[lo:hi]] = math.inf
-    best = int(final.argmin())
+    final = cost[length & 1, :, v_count + 1]
+    ends = sorted(range(masks), key=lambda m: (-m.bit_count(), m))  # end states in arrival order
+    if forbidden_last in moves:
+        ends = [m for m in ends if moves[m & 1] != forbidden_last]
+    best = ends[int(final[ends].argmin())]
     if math.isinf(final[best]):
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
@@ -354,10 +264,13 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
-    state = lo + best
-    while state:
-        dirs.append(dir_v if vertical[state] else dir_h)
-        state = int(graph.parents[state, pick[state]])
+    picks = picks.reshape(length, masks, v_count + 1)
+    i, m = v_count, best
+    for t in reversed(range(length)):
+        move = m & 1
+        dirs.append(moves[move])
+        m = m >> 1 if picks[t, m, i] else m >> 1 | half
+        i -= 1 - move
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
     cost = segment_path_cost(result, dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)

@@ -24,7 +24,6 @@ import numpy as np
 from .image_io import DepthImage
 
 ABSOLUTE = "ESWN"
-RELATIVE = "lsr"
 
 DIR_VECTOR = {"E": (0, 1), "S": (1, 0), "W": (0, -1), "N": (-1, 0)}
 OPPOSITE = {"E": "W", "S": "N", "W": "E", "N": "S"}

@@ -12,8 +12,6 @@ from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
     RdCost,
-    _GraphMemo,
-    _LayerGraph,
     approximate_contour,
     approximate_segment,
     merge_segments,
@@ -87,8 +85,8 @@ logger = logging.getLogger(__name__)
 
 def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, prior_count: int | None = None, penalty_weight: float = 0.0, forbidden_last: str | None = None):
     """The former dict-of-(window, p, q) DP, kept as the reference for the
-    table-driven one: states are inserted on first arrival, vertical move
-    first, and replaced only by a strictly cheaper arrival.
+    dense one: states are inserted on first arrival, vertical move first,
+    and replaced only by a strictly cheaper arrival.
 
     ``prior_dirs`` are the directions already coded before this segment (the
     context seed); ``prior_count`` the number of contour edges preceding it
@@ -221,10 +219,10 @@ def _outcome(dp, args, options):
 
 
 class TestTieRule:
-    """The table-driven DP against the dict DP it replaced: same path and
-    repr-equal cost (or the same error) where ties abound.  The table-driven
-    DP sees only the prior window; the dict DP also gets the number of
-    edges before the segment, which may exceed K."""
+    """The dense DP against the former dict DP: same path and repr-equal
+    cost (or the same error) where ties abound.  The dense DP sees only the
+    prior window; the dict DP also gets the number of edges before the
+    segment, which may exceed K."""
 
     @settings(max_examples=400)
     @given(tie_heavy_cases())
@@ -237,7 +235,7 @@ class TestTieRule:
         flat = ColorImage(np.full((40, 48, 3), 90, np.uint8))
         for k in range(1, 6):
             cfg = ApproxConfig(aec=AecParams(context_len=k), swim=SwimConfig(block=8, window=4))
-            for dirs in ("SESESE", "EESSSE", "SSSEEE", "ESESSE"):
+            for dirs in ("SESESE", "EESSSE", "SSSEEE", "ESESSE", "SE" * 8, "E" * 6 + "S" * 8 + "E" * 4):
                 seg = Segment((16, 20), ("S", "E"), dirs)
                 cols = segment_vertical_columns(seg)
                 for prior in ((), ("E",) * k, ("S",) * k):
@@ -296,25 +294,6 @@ class TestRowCostFill:
                 assert table.cost(row, q, q_orig) == cost
                 expected.append(cost)
         assert table.grid(rows, columns, q_orig) == expected
-
-
-class TestGraphMemo:
-    def test_least_recently_used_graphs_go_first(self):
-        keys = [(3, 2, 2, ()), (3, 4, 4, ()), (3, 1, 1, ())]
-        small, large, tiny = (_LayerGraph(*key).vertical.size for key in keys)
-        memo = _GraphMemo(budget=small + large)
-        first = memo(*keys[0])
-        memo(*keys[1])
-        assert memo(*keys[0]) is first  # a hit, and now the most recent
-        memo(*keys[2])  # over budget: the large graph, least recently used, goes
-        assert (memo.hits, memo.misses, len(memo), memo.states) == (1, 3, 2, small + tiny)
-        assert memo(*keys[0]) is first
-
-    def test_graph_over_budget_is_still_served(self):
-        memo = _GraphMemo(budget=10)
-        memo(3, 1, 1, ())
-        graph = memo(3, 6, 6, ())
-        assert len(memo) == 1 and memo.states == graph.vertical.size > 10
 
 
 class TestPriorWindow:
@@ -379,6 +358,15 @@ class TestApproximateSegment:
             _, cost = approximate_segment(seg, prior, color, cols, cfg)
             oracle = brute_force_minimum(seg, prior, 7, color, cols, cfg)  # seven edges precede the segment
             assert cost.total == pytest.approx(oracle, abs=1e-9)
+
+    def test_only_move_against_the_prior_is_unreachable(self):
+        color = ColorImage(np.full((40, 48, 3), 90, np.uint8))
+        for dirs, prior in (("SSS", ("N",)), ("EEEE", ("W",))):
+            seg = Segment((16, 20), ("S", "E"), dirs)
+            for dp in (approximate_segment, dict_dp_segment):
+                with pytest.raises(ValueError) as err:
+                    dp(seg, prior, color, segment_vertical_columns(seg), small_cfg(1.0))
+                assert str(err.value) == "unreachable endpoint: malformed segment"
 
     def test_structure_preserved(self, rng):
         color = textured_color(rng, 40, 48)
