@@ -122,9 +122,6 @@ class _RowCosts:
         return out
 
 
-row_cost_table = _RowCosts
-
-
 def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
     """Cost of one explicit candidate path, accumulated edge by edge in the
     same order the DP uses (so totals are bit-comparable).  ``prior_count``
@@ -136,7 +133,7 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
     if len(recent) != min(prior_count, k):
         raise ValueError(f"prior window of {len(recent)} directions does not fit prior_count {prior_count} at context length {k}")
     if rows is None:
-        rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+        rows = _RowCosts(color, vertical_columns, cfg, penalty_weight)
     model = context_model(cfg.aec)
     total = 0.0
     rate = 0.0
@@ -220,7 +217,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         rate[0, 0, 0, move] = math.inf
 
     # vertical row costs by (i + 1, j), zero past H and in the sentinel row 0
-    rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+    rows = _RowCosts(color, vertical_columns, cfg, penalty_weight)
     p0, q0 = seg.start
     dp_v = DIR_VECTOR[moves[0]][0]
     dq_h = DIR_VECTOR[moves[1]][1]

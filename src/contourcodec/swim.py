@@ -150,10 +150,11 @@ def _ks_distances(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
     out = np.zeros(a.shape[0])
     live = hi > lo  # zero-width rows stay out: a zero step changes linspace's arithmetic for all rows
     if live.any():
-        inner = np.linspace(lo[live], hi[live], bins + 1, axis=-1)[:, None, 1:-1]
-        # cumulative bin counts: values below each inner edge
-        fa = np.count_nonzero(a[live][:, :, None] < inner, axis=1) / a.shape[1]
-        fb = np.count_nonzero(b[live][:, :, None] < inner, axis=1) / b.shape[1]
+        inner = np.linspace(lo[live], hi[live], bins + 1, axis=-1)[:, 1:-1, None]
+        # cumulative bin counts: values below each inner edge, summed along
+        # the contiguous value axis
+        fa = np.add.reduce(a[live][:, None, :] < inner, axis=-1, dtype=np.intp) / a.shape[1]
+        fb = np.add.reduce(b[live][:, None, :] < inner, axis=-1, dtype=np.intp) / b.shape[1]
         out[live] = np.max(np.abs(fb - fa), axis=1, initial=0.0)
     return out
 

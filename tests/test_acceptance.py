@@ -17,8 +17,8 @@ from contourcodec import aec
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
+    _RowCosts,
     approximate_segment,
-    row_cost_table,
     segment_path_cost,
 )
 from contourcodec.augment import approximate_stereo, synthesize_view
@@ -150,7 +150,7 @@ def test_05_dp_equals_exhaustive_search():
         cols = segment_vertical_columns(seg)
         cfg = ApproxConfig(lagrange=float(rng.choice(lambdas)), aec=AecParams(), swim=SMALL_SWIM)
         _, cost = approximate_segment(seg, (), color, cols, cfg)
-        rows = row_cost_table(color, cols, cfg)
+        rows = _RowCosts(color, cols, cfg)
         best = math.inf
         dir_v, dir_h = seg.dirpair
         for vpos in combinations(range(seg.length), seg.vertical_count):

@@ -12,11 +12,11 @@ from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
     RdCost,
+    _RowCosts,
     approximate_contour,
     approximate_segment,
     merge_segments,
     project_onto_rectangle,
-    row_cost_table,
     segment_path_cost,
 )
 from contourcodec.contour import (
@@ -65,7 +65,7 @@ def brute_force_minimum(seg, prior, prior_count, color, cols, cfg, penalty_weigh
     """Exhaustive minimum over all same-endpoint paths (the DP oracle)."""
     dir_v, dir_h = seg.dirpair
     t, v = seg.length, seg.vertical_count
-    rows = row_cost_table(color, cols, cfg, penalty_weight)
+    rows = _RowCosts(color, cols, cfg, penalty_weight)
     best = math.inf
     opposite = {"E": "W", "W": "E", "S": "N", "N": "S"}
     for vpos in combinations(range(t), v):
@@ -112,7 +112,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
 
     dir_v, dir_h = seg.dirpair
     p_end, q_end = segment_endpoint(seg)
-    rows = row_cost_table(color, vertical_columns, cfg, penalty_weight)
+    rows = _RowCosts(color, vertical_columns, cfg, penalty_weight)
     row_cost = rows.cost
     model = context_model(cfg.aec)
     lagrange = cfg.lagrange
@@ -281,7 +281,7 @@ class TestRowCostFill:
     def test_grid_and_proxy_match_scalar_fits(self, case):
         image, swim, rows, cols, q_orig, weight = case
         lum = luminance(image)
-        table = row_cost_table(image, cols, ApproxConfig(swim=swim), weight)
+        table = _RowCosts(image, cols, ApproxConfig(swim=swim), weight)
         proxy = RowProxy(image, swim)
         origs = [cols[row] if q_orig is None else q_orig for row in rows]
         columns = range(min(origs) - swim.window - 2, max(origs) + swim.window + 3)  # beyond +-W on both sides
@@ -560,24 +560,24 @@ class TestInterviewPenalty:
 
     def test_zero_weight_equals_base(self, rng):
         img = textured_color(rng, 24, 64)
-        rows = row_cost_table(img, {5: 20}, self.CFG, 0.0)
+        rows = _RowCosts(img, {5: 20}, self.CFG, 0.0)
         for k in (-3, 0, 2):
             assert rows.cost(5, 20 + k) == row_distortion(img, 5, 16, 20, 20 + k, self.CFG.swim)
 
     def test_zero_shift_unpenalized(self, rng):
         img = textured_color(rng, 24, 64)
-        assert row_cost_table(img, {5: 20}, self.CFG, 1e6).cost(5, 20) == 0.0
+        assert _RowCosts(img, {5: 20}, self.CFG, 1e6).cost(5, 20) == 0.0
 
     def test_any_original_column_is_priced_at_its_own_anchor(self, rng):
         # merging prices an edge its projection moves, here from column 35 to 31
         img = textured_color(rng, 24, 64)
-        rows = row_cost_table(img, {}, self.CFG, 1e6)
+        rows = _RowCosts(img, {}, self.CFG, 1e6)
         assert rows.cost(5, 31, q_orig=35) == row_distortion(img, 5, 32, 35, 31, self.CFG.swim) + 16e6 < math.inf
 
     def test_huge_weight_prefers_zero_shift(self, rng):
         img = textured_color(rng, 24, 64)
-        base = row_cost_table(img, {5: 20}, self.CFG, 0.0)
-        rows = row_cost_table(img, {5: 20}, self.CFG, 1e6)
+        base = _RowCosts(img, {5: 20}, self.CFG, 0.0)
+        rows = _RowCosts(img, {5: 20}, self.CFG, 1e6)
         assert rows.cost(5, 21) == base.cost(5, 21) + 1e6  # a one-pixel shift adds exactly the weight
         assert rows.cost(5, 20) < rows.cost(5, 21)
 

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contourcodec.aec import AecParams
-from contourcodec.cli import CSV_HEADER, main, psnr, run_sweep
+from contourcodec.cli import CSV_HEADER, PSNR_CAP_DB, main, psnr, run_sweep
 from contourcodec.config import PipelineConfig, parse_config
 from contourcodec.contour import parse_contours
 from contourcodec.image_io import (
@@ -19,6 +21,7 @@ from contourcodec.image_io import (
     save_color,
     save_depth,
 )
+from contourcodec.swim import SwimConfig, swim_score
 
 
 @pytest.fixture
@@ -331,3 +334,114 @@ def test_psnr_cap_and_symmetry(rng):
     assert psnr(img, img) == 99.0
     other = ColorImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     assert psnr(img, other) == psnr(other, img)
+
+
+def count_scoring_calls(monkeypatch, fail_first=()):
+    """Count ``cli.synthesize_view`` and ``cli.swim_score`` calls; the first
+    call of each function named in ``fail_first`` raises."""
+    import contourcodec.cli as cli_mod
+
+    calls = {"synthesize_view": 0, "swim_score": 0}
+    for name in calls:
+        real = getattr(cli_mod, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            if name in fail_first and calls[name] == 1:
+                raise RuntimeError("synthetic scoring failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, counted)
+    return calls
+
+
+def readme_sweep(lambdas):
+    spec = SceneSpec(width=128, height=96, jitter=2, texture="noise")
+    left, right = make_synthetic_scene(2, spec)
+    return run_sweep(left, right, PipelineConfig(seed=2), lambdas, spec.value_scale, timing=False).splitlines()
+
+
+class TestSweepScoresEachPairOnce:
+    """On the README scene the lambda-0 pair is the input pair and the
+    lambda-8 pair repeats the lambda-2 pair, so only lambda 2 is scored."""
+
+    def test_readme_sweep(self, monkeypatch):
+        calls = count_scoring_calls(monkeypatch)
+        csv = "\n".join(readme_sweep((0.0, 2.0, 8.0))) + "\n"
+        # 3 reference views, then 3 views of the lambda-2 pair
+        assert calls == {"synthesize_view": 6, "swim_score": 3}
+        assert csv.encode() == README_SWEEP.read_bytes()
+
+    def test_repeated_lambda_gives_identical_rows(self, monkeypatch):
+        calls = count_scoring_calls(monkeypatch)
+        lines = readme_sweep((2.0, 2.0))
+        assert lines[1] == lines[2] == README_SWEEP.read_text().splitlines()[2]
+        assert calls == {"synthesize_view": 6, "swim_score": 3}
+
+    def test_failed_approximation_is_not_memoized(self, monkeypatch, capsys):
+        import contourcodec.cli as cli_mod
+
+        real = cli_mod.approximate_stereo
+        failed = []
+
+        def fails_once(left, right, cfg, **kwargs):
+            if not failed:
+                failed.append(cfg.lagrange)
+                raise RuntimeError("synthetic stage failure")
+            return real(left, right, cfg, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "approximate_stereo", fails_once)
+        calls = count_scoring_calls(monkeypatch)
+        lines = readme_sweep((2.0, 2.0))
+        assert "lambda=2 failed" in capsys.readouterr().err
+        assert lines[1] == "2,nan,nan,nan,nan,nan,0.000,0.000,0.000,0.000"
+        assert lines[2] == README_SWEEP.read_text().splitlines()[2]
+        assert calls == {"synthesize_view": 6, "swim_score": 3}
+
+    def test_failed_scoring_is_not_memoized(self, monkeypatch, capsys):
+        calls = count_scoring_calls(monkeypatch, fail_first=("swim_score",))
+        lines = readme_sweep((2.0, 2.0))
+        assert "lambda=2 failed: synthetic scoring failure" in capsys.readouterr().err
+        assert lines[1].split(",")[3] == "nan"
+        assert lines[2] == README_SWEEP.read_text().splitlines()[2]
+        # the failed row stops after its first view; the next row scores all 3
+        assert calls == {"synthesize_view": 3 + 1 + 3, "swim_score": 1 + 3}
+
+    def test_input_pair_without_a_whole_block_is_not_scored(self, rng, capsys):
+        left = (DepthImage(np.full((8, 12), 40, np.uint8)), ColorImage(rng.integers(0, 256, (8, 12, 3), dtype=np.uint8)))
+        lines = run_sweep(left, left, PipelineConfig(), (0.0,), 0.1, timing=False).splitlines()
+        assert lines[1].split(",")[3] == "nan"
+        assert "smaller than one block" in capsys.readouterr().err
+
+
+@st.composite
+def self_scored_views(draw):
+    """(image, SwimConfig) with the image at least one block a side, sizes
+    not a multiple of the block included; flat, palette or noise pixels."""
+    block = draw(st.sampled_from([2, 4, 8, 16]))
+    cfg = SwimConfig(
+        block=block,
+        window=draw(st.integers(0, 12)),
+        bins=draw(st.integers(1, 12)),
+        norm=draw(st.none() | st.floats(1e-3, 1e3)),
+    )
+    h, w = draw(st.integers(block, 70)), draw(st.integers(block, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["flat", "palette", "noise"]))
+    if kind == "flat":
+        pix = np.full((h, w, 3), rng.integers(0, 256, 3), np.uint8)
+    elif kind == "palette":
+        pix = rng.choice(np.array([0, 60, 120], np.uint8), size=(h, w, 3))
+    else:
+        pix = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    return ColorImage(pix), cfg
+
+
+@given(self_scored_views())
+@settings(max_examples=80)
+def test_view_scored_against_itself_is_exactly_the_seed(view):
+    """``run_sweep`` enters the input pair with d = 0 and the PSNR cap
+    without scoring its views; this is what scoring them would give."""
+    image, cfg = view
+    assert swim_score(image, image, cfg) == (0.0, 1.0)
+    assert psnr(image, image) == PSNR_CAP_DB
