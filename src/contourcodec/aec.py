@@ -22,7 +22,8 @@ spends.
 Bitstream layout (all integers big-endian):
 magic "AEC1" | u16 contour count | per contour: u16 p, u16 q,
 first-direction code in one byte, u32 symbol count (length - 1) |
-arithmetic payload | u8 terminator 0x00.
+range-coded payload, its trailing zero bytes stripped (the decoder reads
+zeros past its end) | u8 terminator 0x00.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 
 from .contour import ABSOLUTE, DIR_VECTOR, Contour, step, turn
 
@@ -230,71 +231,58 @@ def estimate_rate(contour: Contour, params: AecParams) -> float:
 
 
 class RangeEncoder:
-    """Range encoder with a bounded ``low`` and LZMA-style carry handling.
+    """Range encoder (G. N. N. Martin, "Range encoding", 1979): the coded
+    value is the written bytes followed by ``low``, 32 bits and a carry bit.
 
-    ``low`` keeps 32 bits plus one carry bit.  Each byte shifted out of it
-    waits as the cache byte, with a count of 0xFF bytes behind it, until a
-    later byte proves no carry can reach them; a carry adds one to the cache
-    and turns the pending 0xFF bytes into zeros.  ``finish`` rounds ``low``
-    up to the shortest value inside the final interval, flushes it and drops
-    the leading cache byte and the trailing zeros, so a stream of n symbols
-    is coded in O(n).
+    Before each byte is written, a carry adds one to the last written byte
+    that is not 0xFF and zeroes the 0xFF bytes after it; the coded value
+    stays below 1, so it never runs past the first byte.  A byte becomes 0xFF
+    only when written or incremented by a carry, and a symbol causes at most
+    one carry, so the carry work is at most the bytes written plus the
+    symbols coded: O(n) for n symbols.  ``finish`` rounds ``low`` up to the
+    shortest value inside the final interval, appends its 4 bytes and strips
+    the trailing zeros.
     """
 
     def __init__(self):
         self._low = 0
         self._range = 1 << 32
-        self._cache = 0
-        self._pending = 0  # 0xFF bytes behind the cache byte
         self._out = bytearray()
 
     def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
         r = self._range // total
+        self._range = self._range - r * cum_lo if cum_hi == total else r * (cum_hi - cum_lo)
         self._low += r * cum_lo
-        if cum_hi == total:
-            self._range -= r * cum_lo
-        else:
-            self._range = r * (cum_hi - cum_lo)
         while self._range < _TOP:
-            self._shift_low()
+            if self._low >> 32:
+                self._carry()
+            self._out.append((self._low >> 24) & 0xFF)
+            self._low = (self._low << 8) & 0xFFFFFFFF
             self._range <<= 8
 
-    def _shift_low(self) -> None:
-        low = self._low
-        if low < 0xFF000000 or low >> 32:
-            carry = low >> 32
-            self._out.append((self._cache + carry) & 0xFF)
-            if self._pending:
-                self._out += bytes(((0xFF + carry) & 0xFF,)) * self._pending
-                self._pending = 0
-            self._cache = (low >> 24) & 0xFF
-        else:
-            self._pending += 1
-        self._low = (low & 0xFFFFFF) << 8
+    def _carry(self) -> None:
+        i = len(self._out) - 1
+        while self._out[i] == 0xFF:
+            self._out[i] = 0
+            i -= 1
+        self._out[i] += 1
 
     def finish(self) -> bytes:
         z = self._range.bit_length() - 1
         self._low = ((self._low + (1 << z) - 1) >> z) << z
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self._out[1:]).rstrip(b"\x00")
+        if self._low >> 32:
+            self._carry()
+        return bytes(self._out + (self._low & 0xFFFFFFFF).to_bytes(4, "big")).rstrip(b"\x00")
 
 
 class RangeDecoder:
-    """Mirror of RangeEncoder tracking code - low, which stays bounded."""
+    """Mirror of RangeEncoder tracking code - low, which stays bounded; the
+    payload is read as one byte stream, zero-padded past its end."""
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+        self._bytes = chain(data, repeat(0))
         self._range = 1 << 32
-        self._diff = 0
-        for _ in range(4):
-            self._diff = (self._diff << 8) | self._next_byte()
-
-    def _next_byte(self) -> int:
-        b = self._data[self._pos] if self._pos < len(self._data) else 0
-        self._pos += 1
-        return b
+        self._diff = int.from_bytes(bytes(islice(self._bytes, 4)), "big")
 
     def decode(self, cum, total: int) -> int:
         """Decode one symbol of cumulative frequency bounds ``cum``."""
@@ -305,12 +293,9 @@ class RangeDecoder:
             sym += 1
         lo, hi = cum[sym], cum[sym + 1]
         self._diff -= r * lo
-        if hi == total:
-            self._range -= r * lo
-        else:
-            self._range = r * (hi - lo)
+        self._range = self._range - r * lo if hi == total else r * (hi - lo)
         while self._range < _TOP:
-            self._diff = (self._diff << 8) | self._next_byte()
+            self._diff = (self._diff << 8) | next(self._bytes)
             self._range <<= 8
         return sym
 
@@ -388,8 +373,3 @@ def decode(data: bytes, params: AecParams):
             raise BitstreamError("symbol count mismatch")
         contours.append(contour)
     return contours
-
-
-def payload_bits(data: bytes) -> int:
-    """Length in bits of the arithmetic payload of an encoded stream."""
-    return 8 * len(_read_stream(data)[1])

@@ -318,9 +318,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
     segments including any merge distortion.
     """
     if depth is not None:
-        h, w = getattr(depth, "pixels", depth).shape
-        if any(not (0 <= p <= h and 0 <= q <= w) for p, q in contour.points()):
-            raise ValueError("contour leaves the depth image lattice")
+        contour.check_inside(*getattr(depth, "pixels", depth).shape)
     proxy = RowProxy(color, cfg.swim)
     k = cfg.aec.context_len
     slots = []

@@ -42,7 +42,9 @@ class ChangeMask:
 
 def side_parity(contour: Contour, height: int, width: int) -> np.ndarray:
     """Per-pixel parity of the number of contour vertical edges at or left of
-    the pixel's column, row by row."""
+    the pixel's column, row by row; raises ValueError for a contour that
+    leaves the image."""
+    contour.check_inside(height, width)
     counts = np.zeros((height, width + 1), np.int32)
     for vertical, row, col in cracks(contour.start, contour.absolute_dirs()):
         if vertical:
@@ -185,12 +187,6 @@ def _warp(depth: DepthImage, color: ColorImage | None, alpha: float, direction: 
     return out_d.reshape(h, w), out_c, valid.reshape(h, w)
 
 
-def warp_view(depth: DepthImage, color: ColorImage, alpha: float, direction: int, scale: float = 1.0):
-    """Forward-warp a color image by its depth. Returns (ColorImage, hole mask)."""
-    _, out_c, valid = _warp(depth, color, alpha, direction, scale)
-    return ColorImage(out_c), ~valid
-
-
 def _fill_holes_row(colors: np.ndarray, disp: np.ndarray, valid: np.ndarray) -> None:
     """Fill hole runs from whichever side has the smaller (background)
     disparity, constant along the run; edits in place.  Rows without a
@@ -222,8 +218,10 @@ def _check_sizes(left, right) -> None:
 
 def synthesize_view(left, right, alpha: float, scale: float = 1.0) -> ColorImage:
     """Blend forward-warped left and backward-warped right views at position
-    ``alpha`` in (0, 1); leftover holes are filled by horizontal propagation
+    ``alpha`` in [0, 1]; leftover holes are filled by horizontal propagation
     from the background side."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     _check_sizes(left, right)
     (ldep, lcol) = left
     (rdep, rcol) = right

@@ -124,14 +124,14 @@ def cmd_scene(args) -> int:
     cfg = _read_config(args)
     spec = parse_scene_spec(Path(args.spec).read_text(encoding="utf-8")) if args.spec else SceneSpec()
     left, right = make_synthetic_scene(cfg.seed, spec)
+    view = None if args.alpha is None else render_scene_view(cfg.seed, spec, args.alpha)[1]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_depth(out / "left.pgm", left[0])
     save_color(out / "left.ppm", left[1])
     save_depth(out / "right.pgm", right[0])
     save_color(out / "right.ppm", right[1])
-    if args.alpha is not None:
-        _, view = render_scene_view(cfg.seed, spec, args.alpha)
+    if view is not None:
         save_color(out / f"view_{args.alpha:g}.ppm", view)
     print(f"scene written to {out}")
     return 0

@@ -88,6 +88,12 @@ class Contour:
             pts.append(step(pts[-1], d))
         return pts
 
+    def check_inside(self, height: int, width: int) -> None:
+        """Raise ValueError unless every corner lies on the (height + 1) x
+        (width + 1) corner lattice of a height x width image."""
+        if any(not (0 <= p <= height and 0 <= q <= width) for p, q in self.points()):
+            raise ValueError("contour leaves the image lattice")
+
     @property
     def end(self) -> tuple:
         return self.points()[-1]
@@ -245,16 +251,6 @@ def cracks(start, dirs):
     for d in dirs:
         yield crack(point, d)
         point = step(point, d)
-
-
-def contour_edge_maps(contours, height: int, width: int):
-    """Rasterize contours back into crack-edge maps (inverse of tracing)."""
-    vert = np.zeros((height, width + 1), bool)
-    horiz = np.zeros((height + 1, width), bool)
-    for c in contours:
-        for vertical, row, col in cracks(c.start, c.absolute_dirs()):
-            (vert if vertical else horiz)[row, col] = True
-    return vert, horiz
 
 
 def _available(vert, horiz, p, q):

@@ -173,8 +173,12 @@ class SceneSpec:
             raise ValueError("zero-size image")
         if not 0 <= self.bg_value < self.fg_min <= self.fg_max <= 255:
             raise ValueError("need 0 <= bg_value < fg_min <= fg_max <= 255")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        if self.jitter < 0 or self.margin < 0:
+            raise ValueError("jitter and margin must be >= 0")
+        if not 0 < self.value_scale < math.inf:
+            raise ValueError("value_scale must be finite and > 0")
+        if self.min_size > self.max_size:
+            raise ValueError("need min_size <= max_size")
         if self.texture not in ("flat", "stripes", "noise"):
             raise ValueError(f"unknown texture style {self.texture!r}")
 
@@ -209,19 +213,16 @@ def checked(cls, name: str, convert):
 
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse a key=value scene descriptor (one pair per line, # comments).
-    The value order bg_value < fg_min <= fg_max is checked on the whole spec."""
+    The value orders bg_value < fg_min <= fg_max and min_size <= max_size are
+    checked on the whole spec."""
     types = {"int": int, "float": float, "str": str}
-    order = ("bg_value", "fg_min", "fg_max")
+    order = ("bg_value", "fg_min", "fg_max", "min_size", "max_size")
     converters = {f.name: types[f.type] if f.name in order else checked(SceneSpec, f.name, types[f.type]) for f in dataclasses.fields(SceneSpec)}
     values = parse_key_values(text, "scene spec", converters)
     try:
         return SceneSpec(**values)
     except ValueError as exc:
         raise ValueError(f"scene spec: {exc}") from exc
-
-
-def format_scene_spec(spec: SceneSpec) -> str:
-    return "".join(f"{f.name}={getattr(spec, f.name)}\n" for f in dataclasses.fields(SceneSpec))
 
 
 def pixel_shift(value: float, alpha: float, scale: float) -> int:
@@ -350,6 +351,8 @@ def _render(scene: _Scene, alpha: float):
 
 def render_scene_view(seed: int, spec: SceneSpec, alpha: float):
     """Ground-truth rendering of the scene at viewpoint ``alpha`` in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return _render(_build_scene(seed, spec), alpha)
 
 

@@ -118,21 +118,6 @@ def _match_blocks(targets: np.ndarray, ref_strip: np.ndarray, starts: np.ndarray
     return candidates[starts + chosen], chosen
 
 
-def best_match(synth_lum: np.ndarray, ref_lum: np.ndarray, row: int, col: int, cfg: SwimConfig):
-    """Best horizontally shifted reference block for the target block at
-    (row, col); ties go to the smallest |shift|, then the smallest shift.
-
-    Returns (reference block, shift).
-    """
-    n = cfg.block
-    h, w = synth_lum.shape
-    if not (0 <= row <= h - n and 0 <= col <= w - n):
-        raise ValueError("target block out of bounds")
-    target = synth_lum[None, row : row + n, col : col + n]
-    matched, shifts = _match_blocks(target, ref_lum[row : row + n], np.array([col]), cfg.window)
-    return matched[0], int(shifts[0])
-
-
 def _ks_distances(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
     """Row-wise KS distances between the histograms of ``a`` and ``b``,
     (m, k) arrays, binned on each row pair's joint range.
@@ -157,19 +142,6 @@ def _ks_distances(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
         fb = np.add.reduce(b[live][:, None, :] < inner, axis=-1, dtype=np.intp) / b.shape[1]
         out[live] = np.max(np.abs(fb - fa), axis=1, initial=0.0)
     return out
-
-
-def block_distortion(coeffs_test: np.ndarray, coeffs_ref: np.ndarray, bins: int) -> float:
-    """KS distance between coefficient histograms binned on their joint range.
-
-    Values equal to the joint maximum land in the last bin; a zero-width
-    joint range gives distortion 0.
-    """
-    a = np.asarray(coeffs_test, np.float64).ravel()
-    b = np.asarray(coeffs_ref, np.float64).ravel()
-    if a.size != b.size:
-        raise ValueError("coefficient matrices must have the same shape")
-    return float(_ks_distances(a[None], b[None], bins)[0])
 
 
 def block_scores(synth, ref, cfg: SwimConfig) -> np.ndarray:

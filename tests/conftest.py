@@ -1,11 +1,13 @@
+import dataclasses
 from collections import defaultdict, deque
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from contourcodec.aec import _read_stream
 from contourcodec.contour import ABSOLUTE, OPPOSITE, Contour, cracks, to_relative
-from contourcodec.image_io import ColorImage
+from contourcodec.image_io import ColorImage, SceneSpec
 
 # one profile for every property test: example timings on a small shared
 # machine vary too much for hypothesis' per-example deadline
@@ -62,3 +64,12 @@ def contour_row_shifts(original: Contour, approximated: Contour):
     for row, q in crossings(original):
         by_row[row].append(q)
     return [(row, by_row[row].popleft() if by_row[row] else q, q) for row, q in crossings(approximated)]
+
+
+def payload_bits(data: bytes) -> int:
+    """Length in bits of the arithmetic payload of an encoded stream."""
+    return 8 * len(_read_stream(data)[1])
+
+
+def format_scene_spec(spec: SceneSpec) -> str:
+    return "".join(f"{f.name}={getattr(spec, f.name)}\n" for f in dataclasses.fields(SceneSpec))

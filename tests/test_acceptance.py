@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import contour_row_shifts, random_contour, textured_color
+from conftest import contour_row_shifts, payload_bits, random_contour, textured_color
 from contourcodec import aec
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import (
@@ -73,7 +73,7 @@ def test_01_codec_roundtrip_and_rate_bound():
         data = aec.encode(contours, params)
         assert aec.decode(data, params) == contours
         estimate = sum(estimate_rate(c, params) for c in contours)
-        assert aec.payload_bits(data) <= estimate + 16 + 0.01 * estimate
+        assert payload_bits(data) <= estimate + 16 + 0.01 * estimate
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(1, f"1000 contour sets round-trip losslessly within the rate bound ({elapsed:.1f}s)")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_contour
+from conftest import payload_bits, random_contour
 from contourcodec import aec
 from contourcodec.aec import (
     AecParams,
@@ -22,7 +22,6 @@ from contourcodec.aec import (
     encode,
     estimate_rate,
     fit_line,
-    payload_bits,
 )
 from contourcodec.contour import ABSOLUTE, OPPOSITE, Contour, detect_contours, to_relative, turn
 from contourcodec.image_io import SceneSpec, make_synthetic_scene
@@ -348,3 +347,28 @@ class TestRangeEncoder:
                 new.encode(cum[sym], cum[sym + 1], 65536)
                 ref.encode(cum[sym], cum[sym + 1], 65536)
             assert new.finish() == ref.finish()
+
+    def test_carry_runs_back_through_written_ff_bytes(self):
+        # keep the coded interval straddling 1/2, so the bytes written are
+        # 0x7F and then only 0xFF; a symbol above 1/2 then carries back
+        # through every one of them
+        cum = EXTREME_CUMS[-1]
+        new, ref = RangeEncoder(), ReferenceRangeEncoder()
+
+        def interval(sym):
+            r = ref._range // 65536
+            lo = ref._low + r * cum[sym]
+            return lo, ref._low + ref._range if sym == 2 else lo + r * (cum[sym + 1] - cum[sym])
+
+        def code(pick):
+            half = 1 << (ref._bits - 1)
+            sym = next(s for s in range(3) if pick(half, *interval(s)))
+            new.encode(cum[sym], cum[sym + 1], 65536)
+            ref.encode(cum[sym], cum[sym + 1], 65536)
+
+        for _ in range(80):
+            code(lambda half, lo, hi: lo < half < hi)
+        assert bytes(new._out) == b"\x7f" + b"\xff" * 14
+        code(lambda half, lo, hi: half <= lo)
+        assert bytes(new._out[:15]) == b"\x80" + b"\x00" * 14
+        assert new.finish() == ref.finish()

@@ -14,11 +14,10 @@ from contourcodec.augment import (
     augment_depth,
     side_parity,
     synthesize_view,
-    warp_view,
 )
 from contourcodec.cli import psnr
 from contourcodec.config import PipelineConfig
-from contourcodec.contour import detect_contours
+from contourcodec.contour import detect_contours, to_relative
 from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene, render_scene_view
 from contourcodec.swim import SwimConfig
 
@@ -27,6 +26,12 @@ def warp_depth(depth: DepthImage, alpha: float, direction: int, scale: float = 1
     """Forward-warp the depth map itself. Returns (DepthImage, hole mask)."""
     out_d, _, valid = _warp(depth, None, alpha, direction, scale)
     return DepthImage(out_d), ~valid
+
+
+def warp_view(depth: DepthImage, color: ColorImage, alpha: float, direction: int, scale: float = 1.0):
+    """Forward-warp a color image by its depth. Returns (ColorImage, hole mask)."""
+    _, out_c, valid = _warp(depth, color, alpha, direction, scale)
+    return ColorImage(out_c), ~valid
 
 
 def fig_case():
@@ -73,6 +78,16 @@ class TestAugmentDepth:
         other = contour_from_boundary_columns([5, 5, 5, 5, 5, 5, 5, 5])
         with pytest.raises(ValueError, match="endpoint mismatch"):
             augment_depth(depth, orig, other)
+
+    def test_contour_outside_the_image_rejected(self):
+        # the contour runs along rows -2..0, above a 4x5 image: wrapped onto
+        # rows 2-3, it would rewrite pixel (3, 1) from 160 to 150
+        outside, inside = to_relative((0, 2), "NNWSS"), to_relative((0, 2), "W")
+        depth = DepthImage(np.tile(np.array([150, 160, 160, 160, 160], np.uint8), (4, 1)))
+        with pytest.raises(ValueError, match="contour leaves the image lattice"):
+            side_parity(outside, 4, 5)
+        with pytest.raises(ValueError, match="contour leaves the image lattice"):
+            augment_depth(depth, outside, inside)
 
 
 class TestAugmentColor:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import format_scene_spec
 from contourcodec.aec import AecParams
 from contourcodec.cli import CSV_HEADER, PSNR_CAP_DB, main, psnr, run_sweep
 from contourcodec.config import PipelineConfig, parse_config
@@ -14,10 +15,10 @@ from contourcodec.image_io import (
     ColorImage,
     DepthImage,
     SceneSpec,
-    format_scene_spec,
     load_color,
     make_synthetic_scene,
     parse_scene_spec,
+    render_scene_view,
     save_color,
     save_depth,
 )
@@ -82,6 +83,9 @@ def test_config_misspelled_merge_is_an_error(value):
     (parse_config, "config", "lambdas = ,", "lambdas"),
     (parse_scene_spec, "scene spec", "width = 64\ntexture = foo", "texture"),
     (parse_scene_spec, "scene spec", "jitter = -1", "jitter"),
+    (parse_scene_spec, "scene spec", "value_scale = -0.1", "value_scale"),
+    (parse_scene_spec, "scene spec", "width = 64\nvalue_scale = nan", "value_scale"),
+    (parse_scene_spec, "scene spec", "margin = -5", "margin"),
 ])
 def test_bad_value_names_file_kind_line_and_key(parse, kind, text, key):
     lineno = text.count("\n") + 1
@@ -94,6 +98,13 @@ def test_scene_spec_value_order_is_checked_on_the_whole_spec():
     assert (spec.bg_value, spec.fg_min) == (20, 30)
     with pytest.raises(ValueError, match=r"^scene spec: need 0 <= bg_value < fg_min"):
         parse_scene_spec("fg_min = 30\n")
+
+
+def test_scene_spec_size_order_is_checked_on_the_whole_spec():
+    spec = parse_scene_spec("min_size = 50\nmax_size = 60\n")
+    assert (spec.min_size, spec.max_size) == (50, 60)
+    with pytest.raises(ValueError, match=r"^scene spec: need min_size <= max_size"):
+        parse_scene_spec("max_size = 10\n")
 
 
 def test_config_defaults_match_module_defaults():
@@ -180,6 +191,30 @@ def test_synth_rejects_views_of_different_sizes(scene_dir):
             "--alpha", "0.5", "--out", str(out),
         ])
     assert not out.exists()
+
+
+def test_synth_rejects_nan_alpha(scene_dir):
+    out = scene_dir / "mid.ppm"
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got nan"):
+        main([
+            "synth",
+            "--left-depth", str(scene_dir / "left.pgm"), "--left-color", str(scene_dir / "left.ppm"),
+            "--right-depth", str(scene_dir / "right.pgm"), "--right-color", str(scene_dir / "right.ppm"),
+            "--alpha", "nan", "--out", str(out),
+        ])
+    assert not out.exists()
+
+
+def test_scene_writes_the_requested_view(tmp_path):
+    assert main(["scene", "--out-dir", str(tmp_path), "--seed", "3", "--alpha", "0.5"]) == 0
+    assert load_color(tmp_path / "view_0.5.ppm") == render_scene_view(3, SceneSpec(), 0.5)[1]
+
+
+@pytest.mark.parametrize("alpha", ["2", "-1"])
+def test_scene_rejects_alpha_outside_unit_interval(tmp_path, alpha):
+    with pytest.raises(ValueError, match=rf"alpha must lie in \[0, 1\], got {float(alpha)}"):
+        main(["scene", "--out-dir", str(tmp_path), "--alpha", alpha])
+    assert not list(tmp_path.iterdir())
 
 
 def sweep_args(scene_file, out, extra=()):

@@ -9,7 +9,6 @@ from contourcodec.contour import (
     OPPOSITE,
     Contour,
     Segment,
-    contour_edge_maps,
     crack,
     cracks,
     detect_contours,
@@ -25,6 +24,16 @@ from contourcodec.contour import (
     trace_edge_maps,
 )
 from contourcodec.image_io import DepthImage
+
+
+def contour_edge_maps(contours, height: int, width: int):
+    """Rasterize contours back into crack-edge maps (inverse of tracing)."""
+    vert = np.zeros((height, width + 1), bool)
+    horiz = np.zeros((height + 1, width), bool)
+    for c in contours:
+        for vertical, row, col in cracks(c.start, c.absolute_dirs()):
+            (vert if vertical else horiz)[row, col] = True
+    return vert, horiz
 
 
 def test_flat_image_has_no_contours():

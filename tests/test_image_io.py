@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import format_scene_spec
 from contourcodec.contour import detect_contours
 from contourcodec.image_io import (
     ColorImage,
     DepthImage,
     ImageFormatError,
     SceneSpec,
-    format_scene_spec,
     load_color,
     load_depth,
     make_synthetic_scene,

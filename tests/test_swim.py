@@ -13,8 +13,8 @@ from contourcodec.image_io import ColorImage, SceneSpec, make_synthetic_scene
 from contourcodec.swim import (
     RowProxy,
     SwimConfig,
-    best_match,
-    block_distortion,
+    _ks_distances,
+    _match_blocks,
     block_scores,
     haar_row,
     laplace_fit,
@@ -26,6 +26,34 @@ from contourcodec.swim import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def best_match(synth_lum: np.ndarray, ref_lum: np.ndarray, row: int, col: int, cfg: SwimConfig):
+    """Best horizontally shifted reference block for the target block at
+    (row, col); ties go to the smallest |shift|, then the smallest shift.
+
+    Returns (reference block, shift).
+    """
+    n = cfg.block
+    h, w = synth_lum.shape
+    if not (0 <= row <= h - n and 0 <= col <= w - n):
+        raise ValueError("target block out of bounds")
+    target = synth_lum[None, row : row + n, col : col + n]
+    matched, shifts = _match_blocks(target, ref_lum[row : row + n], np.array([col]), cfg.window)
+    return matched[0], int(shifts[0])
+
+
+def block_distortion(coeffs_test: np.ndarray, coeffs_ref: np.ndarray, bins: int) -> float:
+    """KS distance between coefficient histograms binned on their joint range.
+
+    Values equal to the joint maximum land in the last bin; a zero-width
+    joint range gives distortion 0.
+    """
+    a = np.asarray(coeffs_test, np.float64).ravel()
+    b = np.asarray(coeffs_ref, np.float64).ravel()
+    if a.size != b.size:
+        raise ValueError("coefficient matrices must have the same shape")
+    return float(_ks_distances(a[None], b[None], bins)[0])
 
 
 class TestHaar:
