@@ -8,7 +8,11 @@ column counts contour side-information bits only; depth/color payload coding
 is outside this tool.  Each distinct modified stereo pair is synthesized and
 scored once per sweep: a row whose pair repeats an earlier row's, or the input
 pair (whose views are the references), reuses that pair's scores, and its
-``synth_ms`` is then the time of the lookup.
+``synth_ms`` is then the time of the lookup.  Synthesis is row-local, so a new
+pair is synthesized only in the rows where it differs from the input pair, the
+other rows are copied from the reference views, and block rows equal to the
+reference score 0 without being evaluated; ``synth_ms`` times finding those
+rows, synthesizing them and scoring the views.
 """
 
 from __future__ import annotations
@@ -147,12 +151,21 @@ def _pair_digest(left, right) -> bytes:
     return digest.digest()
 
 
+def _changed_rows(images, references) -> np.ndarray:
+    """Boolean mask of the rows in which any of ``images`` differs from its
+    reference image."""
+    return np.logical_or.reduce([(a.pixels != b.pixels).reshape(a.height, -1).any(axis=1) for a, b in zip(images, references)])
+
+
 def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: bool = True):
     """One CSV line per lambda; a failed stage aborts only its own row.
 
     Rows whose modified pairs are byte-equal share one (d, PSNR) score.  The
     input pair's views are the references, and a view scored against itself
-    gives d = 0 and the PSNR cap, unless it holds no whole block."""
+    gives d = 0 and the PSNR cap, unless it holds no whole block.  A new
+    pair's views are synthesized only in the rows where the pair differs
+    from the input pair and take the references' other rows, whose block
+    rows then score 0 unevaluated; ``synth_ms`` times this and the scoring."""
     references = {a: synthesize_view(left, right, a, scale) for a in cfg.alphas}
     scored = {}
     if all(min(v.height, v.width) >= cfg.block for v in references.values()):
@@ -174,10 +187,17 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
             mod_right = (stereo.right.depth, stereo.right.color)
             key = _pair_digest(mod_left, mod_right)
             if key not in scored:
+                # synthesis reads only the row it writes
+                rows = _changed_rows((*mod_left, *mod_right), (*left, *right))
+                crop = [tuple(type(im)(im.pixels[rows]) for im in view) for view in (mod_left, mod_right)] if rows.any() else None
                 d_values = []
                 psnr_values = []
                 for a in cfg.alphas:
-                    synth = synthesize_view(mod_left, mod_right, a, scale)
+                    synth = references[a]
+                    if crop:
+                        pixels = synth.pixels.copy()
+                        pixels[rows] = synthesize_view(*crop, a, scale).pixels
+                        synth = ColorImage(pixels)
                     d, _ = swim_score(synth, references[a], cfg.swim_config())
                     d_values.append(d)
                     psnr_values.append(psnr(synth, references[a]))

@@ -179,6 +179,8 @@ class SceneSpec:
             raise ValueError("value_scale must be finite and > 0")
         if self.min_size > self.max_size:
             raise ValueError("need min_size <= max_size")
+        if self.min_size < 2 * self.jitter + 6:
+            raise ValueError("need min_size >= 2 * jitter + 6")
         if self.texture not in ("flat", "stripes", "noise"):
             raise ValueError(f"unknown texture style {self.texture!r}")
 
@@ -213,11 +215,13 @@ def checked(cls, name: str, convert):
 
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse a key=value scene descriptor (one pair per line, # comments).
-    The value orders bg_value < fg_min <= fg_max and min_size <= max_size are
-    checked on the whole spec."""
+    The value orders bg_value < fg_min <= fg_max, min_size <= max_size and
+    min_size >= 2 * jitter + 6 are checked on the whole spec."""
     types = {"int": int, "float": float, "str": str}
     order = ("bg_value", "fg_min", "fg_max", "min_size", "max_size")
     converters = {f.name: types[f.type] if f.name in order else checked(SceneSpec, f.name, types[f.type]) for f in dataclasses.fields(SceneSpec)}
+    # jitter's own check (>= 0) is margin's; its bound on min_size waits for the whole spec
+    converters["jitter"] = checked(SceneSpec, "margin", int)
     values = parse_key_values(text, "scene spec", converters)
     try:
         return SceneSpec(**values)

@@ -11,6 +11,7 @@ order smallest |shift|, then smaller shift.  Coefficients are binned on
 ``np.linspace`` edges over the pair's joint range, a value in bin i iff
 edges[i] <= x < edges[i + 1] with the last bin closed: the bins
 ``np.histogram`` assigns, also on ranges a few ULPs wide that it refuses.
+A block row whose pixels equal the reference's scores 0 and is skipped.
 
 The proxy replaces the per-block histogram comparison by per-row comparisons
 of fitted Laplace scales, which have a closed-form KS distance; row
@@ -146,21 +147,28 @@ def _ks_distances(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
 
 def block_scores(synth, ref, cfg: SwimConfig) -> np.ndarray:
     """Per-block distortions over the non-overlapping block partition,
-    evaluated one block row at a time."""
-    lum_s = luminance(synth)
-    lum_r = luminance(ref)
-    if lum_s.shape != lum_r.shape:
+    evaluated one block row (strip) at a time, luminance strip by strip.
+
+    A strip whose test pixels equal its reference pixels scores 0 without
+    being evaluated: each of its blocks matches at shift 0, first in the tie
+    order with squared error 0, and equal coefficients are at KS distance 0.
+    """
+    pix_s, pix_r = (np.asarray(im.pixels if isinstance(im, ColorImage) else im) for im in (synth, ref))
+    if pix_s.shape[:2] != pix_r.shape[:2]:
         raise ValueError("images must have identical dimensions")
     n = cfg.block
-    rows, cols = lum_s.shape[0] // n, lum_s.shape[1] // n
+    rows, cols = pix_s.shape[0] // n, pix_s.shape[1] // n
     if rows == 0 or cols == 0:
         raise ValueError("image smaller than one block")
     starts = np.arange(cols) * n
-    scores = np.empty((rows, cols))
+    scores = np.zeros((rows, cols))
     for i in range(rows):
         strip = slice(i * n, (i + 1) * n)
-        targets = lum_s[strip, : cols * n].reshape(n, cols, n).transpose(1, 0, 2)
-        matched, _ = _match_blocks(targets, lum_r[strip], starts, cfg.window)
+        if np.array_equal(pix_s[strip], pix_r[strip]):
+            continue
+        lum_s = luminance(pix_s[strip])
+        targets = lum_s[:, : cols * n].reshape(n, cols, n).transpose(1, 0, 2)
+        matched, _ = _match_blocks(targets, luminance(pix_r[strip]), starts, cfg.window)
         c_s = haar_row(targets).reshape(cols, -1)
         c_o = haar_row(matched).reshape(cols, -1)
         scores[i] = _ks_distances(c_s, c_o, cfg.bins)

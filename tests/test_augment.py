@@ -312,6 +312,33 @@ class TestSynthesize:
         _, truth = render_scene_view(13, spec, 0.5)
         assert psnr(out, truth) > 30.0
 
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 80)),
+        levels=st.integers(1, 4),
+        alpha=st.floats(0.0, 1.0),
+        scale=st.sampled_from([0.05, 0.1, 0.25, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=150)
+    def test_any_rows_synthesized_alone_are_those_rows_of_the_view(self, seed, shape, levels, alpha, scale, data):
+        """Warping, blending and hole filling read only the row they write,
+        which lets a sweep synthesize only the rows its approximation
+        changed.  Few depth levels in two unrelated views give occlusions,
+        disocclusion holes and rows no view reaches."""
+        rng = np.random.default_rng(seed)
+        left, right = (
+            (
+                DepthImage(rng.choice(rng.integers(0, 256, levels), size=shape).astype(np.uint8)),
+                ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8)),
+            )
+            for _ in range(2)
+        )
+        rows = sorted(data.draw(st.sets(st.integers(0, shape[0] - 1), min_size=1)))
+        crop = [tuple(type(image)(image.pixels[rows]) for image in view) for view in (left, right)]
+        whole = synthesize_view(left, right, alpha, scale).pixels
+        assert np.array_equal(synthesize_view(*crop, alpha, scale).pixels, whole[rows])
+
 
 class TestApproximateStereo:
     def test_flat_views_unchanged(self, rng):

@@ -107,6 +107,14 @@ def test_scene_spec_size_order_is_checked_on_the_whole_spec():
         parse_scene_spec("max_size = 10\n")
 
 
+def test_scene_spec_jitter_bound_is_checked_on_the_whole_spec():
+    spec = parse_scene_spec("jitter = 6\nmin_size = 18\n")
+    assert (spec.jitter, spec.min_size) == (6, 18)
+    for text in ("jitter = 6\n", "min_size = 5\n", "jitter = 2\nmin_size = 8\n"):
+        with pytest.raises(ValueError, match=r"^scene spec: need min_size >= 2 \* jitter \+ 6$"):
+            parse_scene_spec(text)
+
+
 def test_config_defaults_match_module_defaults():
     cfg = PipelineConfig()
     assert cfg.aec_params() == AecParams()
@@ -486,6 +494,38 @@ class TestSweepScoresEachPairOnce:
         lines = run_sweep(left, left, PipelineConfig(), (0.0,), 0.1, timing=False).splitlines()
         assert lines[1].split(",")[3] == "nan"
         assert "smaller than one block" in capsys.readouterr().err
+
+
+def test_sweep_synthesizes_changed_rows_and_scores_changed_strips(monkeypatch):
+    """A sparse scene whose lambda-8 pair differs from the input pair in 4 of
+    96 rows, in 2 of the 6 block rows: only those rows are synthesized and
+    only those block rows scored, and the CSV is the full-frame one."""
+    import contourcodec.cli as cli_mod
+    import contourcodec.swim as swim_mod
+
+    heights, strips = [], []
+    real_synth, real_match = cli_mod.synthesize_view, swim_mod._match_blocks
+
+    def synth(left, right, *args):
+        heights.append(left[0].height)
+        return real_synth(left, right, *args)
+
+    def match(targets, ref_strip, *args):
+        strips.append(ref_strip.shape)
+        return real_match(targets, ref_strip, *args)
+
+    monkeypatch.setattr(cli_mod, "synthesize_view", synth)
+    monkeypatch.setattr(swim_mod, "_match_blocks", match)
+    spec = SceneSpec(width=128, height=96, shapes=2, jitter=0, texture="noise")
+    left, right = make_synthetic_scene(3, spec)
+    lines = run_sweep(left, right, PipelineConfig(seed=3), (0.0, 8.0), spec.value_scale, timing=False).splitlines()
+    assert lines[1:] == [
+        "0,592,0,0,1,99,0.000,0.000,0.000,0.000",
+        "8,576,0.121136,0.000318287,0.999682,51.1086,0.000,0.000,0.000,0.000",
+    ]
+    # 3 reference views, then the 4 changed rows of the lambda-8 pair's 3 views
+    assert heights == [96, 96, 96, 4, 4, 4]
+    assert strips == [(16, 128)] * 6
 
 
 @st.composite

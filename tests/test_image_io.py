@@ -112,6 +112,22 @@ def test_scene_zero_size_rejected():
         SceneSpec(width=0, height=10)
 
 
+@pytest.mark.parametrize("sizes", [dict(min_size=0), dict(min_size=-5), dict(min_size=8, jitter=2), dict(min_size=17, max_size=20, jitter=6)])
+def test_scene_shapes_too_small_for_their_jitter_rejected_for_every_seed(sizes):
+    # a shape side below 2 * jitter + 6 cannot be drawn: the spec is refused
+    # for every seed, not only for the seeds that happen to draw one
+    for seed in range(8):
+        with pytest.raises(ValueError, match=r"^need min_size >= 2 \* jitter \+ 6$"):
+            make_synthetic_scene(seed, SceneSpec(**sizes))
+
+
+@pytest.mark.parametrize("sizes", [dict(min_size=6), dict(min_size=6, max_size=6), dict(min_size=10, jitter=2), dict(min_size=18, jitter=6)])
+def test_scene_shapes_at_the_jitter_bound_build_for_every_seed(sizes):
+    for seed in range(8):
+        (depth, _), _ = make_synthetic_scene(seed, SceneSpec(width=96, height=80, **sizes))
+        assert detect_contours(depth, 30)
+
+
 @pytest.mark.parametrize("texture", ["flat", "stripes", "noise"])
 def test_every_texture_style_renders(texture):
     spec = SceneSpec(width=96, height=80, shapes=1, jitter=1, texture=texture)

@@ -371,6 +371,73 @@ class TestAgainstPerBlockLoop:
         assert block_distortion(a, b, bins) == expected
 
 
+def _kind_pixels(rng, kind, h, w):
+    """An (h, w, 3) image of one flat colour, of 3-level palette values or
+    of uniform noise."""
+    if kind == "flat":
+        return np.full((h, w, 3), rng.integers(0, 256, 3), np.uint8)
+    if kind == "palette":
+        return rng.choice(PALETTE, size=(h, w, 3))
+    return rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+
+
+class TestEqualStrips:
+    """``block_scores`` leaves a block row (strip) that equals its reference
+    at 0 without evaluating it; evaluating it gives exactly that."""
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        kind=st.sampled_from(["flat", "palette", "noise"]),
+        block=st.sampled_from([2, 4, 8, 16]),
+        extra=st.integers(0, 50),
+        window=st.integers(0, 12),
+        bins=st.integers(1, 12),
+    )
+    @settings(max_examples=120)
+    def test_equal_strip_matches_at_shift_zero_and_scores_zero(self, seed, kind, block, extra, window, bins):
+        rng = np.random.default_rng(seed)
+        width = block + extra  # most widths leave columns outside every block
+        strip = luminance(_kind_pixels(rng, kind, block, width))
+        cols = width // block
+        targets = strip[:, : cols * block].reshape(block, cols, block).transpose(1, 0, 2)
+        matched, shifts = _match_blocks(targets, strip.copy(), np.arange(cols) * block, window)
+        assert shifts.tolist() == [0] * cols
+        assert np.array_equal(matched, targets)
+        scores = _ks_distances(haar_row(targets).reshape(cols, -1), haar_row(matched).reshape(cols, -1), bins)
+        assert scores.tobytes() == np.zeros(cols).tobytes()
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        kinds=st.tuples(*[st.sampled_from(["flat", "palette", "noise"])] * 2),
+        block=st.sampled_from([2, 4, 8]),
+        strips=st.integers(1, 5),
+        extra=st.tuples(st.integers(0, 7), st.integers(0, 30)),
+        window=st.integers(0, 12),
+        bins=st.integers(1, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=80)
+    def test_one_differing_strip_leaves_the_others_at_zero(self, seed, kinds, block, strips, extra, window, bins, data):
+        rng = np.random.default_rng(seed)
+        h, w = strips * block + extra[0] % block, block + extra[1]
+        ref = _kind_pixels(rng, kinds[0], h, w)
+        i = data.draw(st.integers(0, strips - 1))
+        rows = slice(i * block, (i + 1) * block)
+        synth = ref.copy()
+        synth[rows] = _kind_pixels(rng, kinds[1], block, w)
+        synth[i * block + int(rng.integers(block)), int(rng.integers(w)), int(rng.integers(3))] ^= 1 + int(rng.integers(255))
+        cfg = SwimConfig(block=block, window=window, bins=bins)
+        scores = block_scores(ColorImage(synth), ColorImage(ref), cfg)
+        others = np.delete(scores, i, axis=0)
+        assert others.tobytes() == np.zeros_like(others).tobytes()
+        assert scores[i].tobytes() == block_scores(ColorImage(synth[rows]), ColorImage(ref[rows]), cfg)[0].tobytes()
+        try:
+            expected = _reference_block_scores(ColorImage(synth), ColorImage(ref), cfg)
+        except ValueError:
+            return  # a range np.histogram refuses
+        assert scores.tobytes() == expected.tobytes()
+
+
 # sha256 of block_scores(view, reference).tobytes() for the README scene's
 # three synthesized views at lambda 2, recorded with the per-block loop
 README_VIEW_SCORES = {
