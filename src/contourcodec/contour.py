@@ -5,9 +5,10 @@ Contours live on the pixel-corner lattice: a corner point (p, q) satisfies
 horizontally adjacent pixels (r, c-1) and (r, c) runs from corner (r, c) to
 (r+1, c); a horizontal crack between the vertically adjacent pixels (r-1, c)
 and (r, c) runs from (r, c) to (r, c+1).  ``crack`` is the one statement of
-which crack a step runs along; tracing, rasterization, the DP's row costs,
-merging and the side parity of augmentation all index cracks through it.
-Only ``_available``, the inner loop of tracing, spells the rule out inline.
+which crack a step runs along; rasterization, the DP's row costs, merging
+and the side parity of augmentation all index cracks through it.  Tracing
+walks flat byte maps instead, and states the rule once, as the ``moves``
+table of ``trace_edge_maps``.
 
 A chain stores one absolute starting direction plus relative turns, the
 differential chain code.  Absolute directions are the characters "E", "S",
@@ -30,6 +31,8 @@ OPPOSITE = {"E": "W", "S": "N", "W": "E", "N": "S"}
 
 _IDX = {d: i for i, d in enumerate(ABSOLUTE)}
 _TURN = {"l": -1, "s": 0, "r": 1}
+# relative symbol of a turn by (next - prev) % 4 direction codes
+_RELATIVE = np.frombuffer(b"sr?l", np.uint8)
 
 
 def turn(direction: str, rel: str) -> str:
@@ -68,7 +71,7 @@ class Contour:
     def __post_init__(self):
         if self.first not in DIR_VECTOR:
             raise ValueError(f"invalid absolute direction {self.first!r}")
-        if any(c not in _TURN for c in self.rest):
+        if not set(self.rest) <= {"l", "s", "r"}:
             raise ValueError("invalid relative symbol")
         object.__setattr__(self, "start", (int(self.start[0]), int(self.start[1])))
 
@@ -101,15 +104,6 @@ class Contour:
     @property
     def is_closed(self) -> bool:
         return self.end == self.start
-
-    def canonical(self) -> "Contour":
-        """Closed contours rotated to start at the topmost-then-leftmost corner."""
-        if not self.is_closed:
-            return self
-        pts = self.points()[:-1]
-        dirs = self.absolute_dirs()
-        i = min(range(len(pts)), key=lambda j: pts[j])
-        return to_relative(pts[i], dirs[i:] + dirs[:i])
 
 
 def to_relative(start, dirs) -> Contour:
@@ -217,6 +211,8 @@ def edge_maps(depth, threshold: int = 30):
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     pix = depth.pixels if isinstance(depth, DepthImage) else np.asarray(depth)
+    if pix.ndim != 2:
+        raise ValueError(f"depth must be a 2-D array, got shape {pix.shape}")
     a = pix.astype(np.int32)
     h, w = a.shape
     vert = np.zeros((h, w + 1), bool)
@@ -253,77 +249,73 @@ def cracks(start, dirs):
         point = step(point, d)
 
 
-def _available(vert, horiz, p, q):
-    h, w1 = vert.shape
-    dirs = []
-    if q < w1 - 1 and horiz[p, q]:
-        dirs.append("E")
-    if p < h and vert[p, q]:
-        dirs.append("S")
-    if q > 0 and horiz[p, q - 1]:
-        dirs.append("W")
-    if p > 0 and vert[p - 1, q]:
-        dirs.append("N")
-    return dirs
-
-
-def _consume(vert, horiz, p, q, d):
-    vertical, row, col = crack((p, q), d)
-    (vert if vertical else horiz)[row, col] = False
-
-
-def _trace_from(vert, horiz, p, q) -> Contour:
-    start = (p, q)
-    d = _available(vert, horiz, p, q)[0]
-    _consume(vert, horiz, p, q, d)
-    p, q = step((p, q), d)
-    dirs = [d]
-    while True:
-        # straight, then right, then left; never reverse
-        options = _available(vert, horiz, p, q)
-        d = next((c for c in (dirs[-1], turn(dirs[-1], "r"), turn(dirs[-1], "l")) if c in options), None)
-        if d is None:
-            break
-        _consume(vert, horiz, p, q, d)
-        p, q = step((p, q), d)
-        dirs.append(d)
-    contour = to_relative(start, dirs)
-    return contour.canonical() if contour.is_closed else contour
-
-
-def _corner_degrees(vert, horiz) -> np.ndarray:
-    h, w1 = vert.shape
-    deg = np.zeros((h + 1, w1), np.int8)
-    deg[:h, :] += vert
-    deg[1:, :] += vert
-    deg[:, : w1 - 1] += horiz
-    deg[:, 1:] += horiz
-    return deg
-
-
 def trace_edge_maps(vert, horiz):
-    """Link crack edges into chains: open chains from degree-1 corners first
-    (raster order), then remaining closed loops, each cut at its
-    topmost-then-leftmost corner.  Deterministic."""
-    vert = vert.copy()
-    horiz = horiz.copy()
+    """Link crack edges into chains.  Deterministic; the inputs are not modified.
+
+    A walk from a corner starts on its first edge in E, S, W, N order, then
+    at each corner goes straight, else right, else left, and stops where none
+    of the three is left.  Open chains come first: each pass starts a walk
+    from every corner of degree 1 at the pass start, in raster order, that
+    still has an edge, and passes repeat until no corner of degree 1 is left.
+    Then each pass starts a walk from every corner that had an edge at the
+    pass start, in raster order, that still has one, until no edge is left.
+    A closed chain is cut at its topmost-then-leftmost corner.  Raises
+    ValueError unless the maps have the shapes (h, w + 1) and (h + 1, w).
+    """
+    vert = np.asarray(vert, bool)
+    horiz = np.asarray(horiz, bool)
+    if vert.ndim != 2 or horiz.ndim != 2 or horiz.shape != (vert.shape[0] + 1, vert.shape[1] - 1):
+        raise ValueError(f"edge maps of shapes {vert.shape} and {horiz.shape} are not (h, w + 1) and (h + 1, w)")
+    h, w1 = vert.shape
+    # V[i] and H[i] are the cracks S and E of corner i = p * w1 + q.  The zero
+    # column and the two zero rows past the lattice make every border crack
+    # read 0, and so do the negative indices of a W or N crack from row 0.
+    V, H = bytearray((h + 2) * w1), bytearray((h + 2) * w1)
+    vmap = np.frombuffer(V, np.uint8).reshape(h + 2, w1)[: h + 1]
+    hmap = np.frombuffer(H, np.uint8).reshape(h + 2, w1)[: h + 1]
+    vmap[:h] = vert
+    hmap[:, :-1] = horiz
+    # E, S, W, N: the map and offset of the crack a step runs along, the step
+    moves = ((H, 0, 1), (V, 0, w1), (H, -1, -1), (V, -w1, -w1))
+    # a walk's first step tries E, S, W, N; each later one straight, right, left
+    first = tuple((c,) + moves[c] for c in range(4))
+    nexts = tuple(tuple(first[c] for c in (d, (d + 1) & 3, (d - 1) & 3)) for d in range(4))
+
+    def degrees():
+        deg = vmap + hmap
+        deg[:, 1:] += hmap[:, :-1]
+        deg[1:] += vmap[:-1]
+        return deg
+
+    def walk(i):
+        start = lo = i
+        dirs = bytearray()
+        k = 0
+        options = first
+        while True:
+            for d, m, off, s in options:
+                if m[i + off]:
+                    break
+            else:
+                break
+            m[i + off] = 0
+            dirs.append(d)
+            i += s
+            if i < lo:
+                lo, k = i, len(dirs)
+            options = nexts[d]
+        if i != start:
+            lo, k = start, 0
+        codes = np.frombuffer(dirs[k:] + dirs[:k], np.uint8)
+        rest = _RELATIVE[(codes[1:] - codes[:-1]) & 3].tobytes().decode()
+        if "?" in rest:
+            raise ValueError("doubling back")
+        return Contour(divmod(lo, w1), ABSOLUTE[codes[0]], rest)
+
     contours = []
-    while True:
-        deg = _corner_degrees(vert, horiz)
-        ends = np.argwhere(deg == 1)
-        if len(ends) == 0:
-            break
-        for p, q in ends:
-            if len(_available(vert, horiz, p, q)) == 1:
-                contours.append(_trace_from(vert, horiz, int(p), int(q)))
-    while True:
-        deg = _corner_degrees(vert, horiz)
-        seeds = np.argwhere(deg > 0)
-        if len(seeds) == 0:
-            break
-        for p, q in seeds:
-            if _available(vert, horiz, p, q):
-                contours.append(_trace_from(vert, horiz, int(p), int(q)))
+    for open_ends in (True, False):
+        while seeds := np.flatnonzero(degrees() == 1 if open_ends else degrees()).tolist():
+            contours += [walk(i) for i in seeds if V[i] or H[i] or H[i - 1] or V[i - w1]]
     return contours
 
 

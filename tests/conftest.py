@@ -25,6 +25,17 @@ def random_contour(rng: np.random.Generator, length: int, start=(200, 200)) -> C
     return to_relative(start, dirs)
 
 
+def canonical(contour: Contour) -> Contour:
+    """A closed contour rotated to start at its topmost-then-leftmost corner;
+    an open one unchanged."""
+    if not contour.is_closed:
+        return contour
+    pts = contour.points()[:-1]
+    dirs = contour.absolute_dirs()
+    i = min(range(len(pts)), key=lambda j: pts[j])
+    return to_relative(pts[i], dirs[i:] + dirs[:i])
+
+
 def textured_color(rng: np.random.Generator, height: int, width: int) -> ColorImage:
     """Smooth random texture with enough horizontal detail for the proxy."""
     raw = rng.integers(0, 256, size=(height, width, 3)).astype(float)

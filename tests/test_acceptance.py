@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import contour_row_shifts, payload_bits, random_contour, textured_color
+from conftest import canonical, contour_row_shifts, payload_bits, random_contour, textured_color
 from contourcodec import aec
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import (
@@ -347,8 +347,8 @@ def test_11_redetection_roundtrip():
             cfg = ApproxConfig(lagrange=lam, aec=AecParams(), swim=SwimConfig())
             res = approximate_stereo(left, right, cfg, threshold=30, scale=spec.value_scale)
             for view in (res.left, res.right):
-                redetected = {c.canonical() for c in detect_contours(view.depth, 30)}
-                approximated = {c.canonical() for c in view.contours}
+                redetected = {canonical(c) for c in detect_contours(view.depth, 30)}
+                approximated = {canonical(c) for c in view.contours}
                 assert redetected == approximated
                 checked += len(approximated)
     report(11, f"augmented depth re-detects to the approximated contours exactly ({checked} contours)")

@@ -1,9 +1,12 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_contour
+from conftest import canonical, random_contour
 from contourcodec.contour import (
     ABSOLUTE,
     OPPOSITE,
@@ -22,8 +25,9 @@ from contourcodec.contour import (
     step,
     to_relative,
     trace_edge_maps,
+    turn,
 )
-from contourcodec.image_io import DepthImage
+from contourcodec.image_io import DepthImage, SceneSpec, make_synthetic_scene
 
 
 def contour_edge_maps(contours, height: int, width: int):
@@ -34,6 +38,132 @@ def contour_edge_maps(contours, height: int, width: int):
         for vertical, row, col in cracks(c.start, c.absolute_dirs()):
             (vert if vertical else horiz)[row, col] = True
     return vert, horiz
+
+
+# ---------------------------------------------------------------------------
+# Reference tracer: walks the 2-D maps one corner at a time and consumes each
+# crack through ``crack``.  trace_edge_maps must return exactly what it returns.
+# ---------------------------------------------------------------------------
+
+
+def _available(vert, horiz, p, q):
+    h, w1 = vert.shape
+    dirs = []
+    if q < w1 - 1 and horiz[p, q]:
+        dirs.append("E")
+    if p < h and vert[p, q]:
+        dirs.append("S")
+    if q > 0 and horiz[p, q - 1]:
+        dirs.append("W")
+    if p > 0 and vert[p - 1, q]:
+        dirs.append("N")
+    return dirs
+
+
+def _consume(vert, horiz, p, q, d):
+    vertical, row, col = crack((p, q), d)
+    (vert if vertical else horiz)[row, col] = False
+
+
+def _trace_from(vert, horiz, p, q) -> Contour:
+    start = (p, q)
+    d = _available(vert, horiz, p, q)[0]
+    _consume(vert, horiz, p, q, d)
+    p, q = step((p, q), d)
+    dirs = [d]
+    while True:
+        # straight, then right, then left; never reverse
+        options = _available(vert, horiz, p, q)
+        d = next((c for c in (dirs[-1], turn(dirs[-1], "r"), turn(dirs[-1], "l")) if c in options), None)
+        if d is None:
+            break
+        _consume(vert, horiz, p, q, d)
+        p, q = step((p, q), d)
+        dirs.append(d)
+    return canonical(to_relative(start, dirs))
+
+
+def _corner_degrees(vert, horiz) -> np.ndarray:
+    h, w1 = vert.shape
+    deg = np.zeros((h + 1, w1), np.int8)
+    deg[:h, :] += vert
+    deg[1:, :] += vert
+    deg[:, : w1 - 1] += horiz
+    deg[:, 1:] += horiz
+    return deg
+
+
+def reference_trace(vert, horiz):
+    vert = vert.copy()
+    horiz = horiz.copy()
+    contours = []
+    while True:
+        ends = np.argwhere(_corner_degrees(vert, horiz) == 1)
+        if len(ends) == 0:
+            break
+        for p, q in ends:
+            if len(_available(vert, horiz, p, q)) == 1:
+                contours.append(_trace_from(vert, horiz, int(p), int(q)))
+    while True:
+        seeds = np.argwhere(_corner_degrees(vert, horiz) > 0)
+        if len(seeds) == 0:
+            break
+        for p, q in seeds:
+            if _available(vert, horiz, p, q):
+                contours.append(_trace_from(vert, horiz, int(p), int(q)))
+    return contours
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(0, 1), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0.0, 0)  # no crack at all
+@example(5, 7, 1.0, 0)  # every crack, border ones too: a degree-4 junction at each inner corner
+@example(1, 12, 0.9, 3)
+@example(12, 1, 0.9, 3)
+@settings(max_examples=400)
+def test_trace_matches_reference_tracer(h, w, density, seed):
+    # random maps set border cracks and make junctions of degree 3 and 4,
+    # which no detected test scene has, so only this test pins their tie rules
+    rng = np.random.default_rng(seed)
+    vert = rng.random((h, w + 1)) < density
+    horiz = rng.random((h + 1, w)) < density
+    before = vert.copy(), horiz.copy()
+    assert trace_edge_maps(vert, horiz) == reference_trace(vert, horiz)
+    assert np.array_equal(vert, before[0]) and np.array_equal(horiz, before[1])
+
+
+def test_large_scene_contours_are_pinned():
+    spec = SceneSpec(width=1280, height=960, shapes=40, jitter=4, texture="noise", min_size=40, max_size=100)
+    digests = (
+        "2c3ac03f8c703f98ae3955bb9265b45dcf91324b51a1ed2694174f0e659dc0a8",
+        "430dfe84a6507e31c0a6dd570798cd5e50dbc59ede41a7d09efdaee4cdd8fdd8",
+    )
+    for (depth, _), digest in zip(make_synthetic_scene(8, spec), digests):
+        contours = detect_contours(depth, 30)
+        assert len(contours) == 40 and sum(map(len, contours)) == 25_030
+        assert hashlib.sha256(format_contours(contours).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "vert_shape, horiz_shape",
+    [((3, 5), (4, 5)), ((3, 5), (3, 4)), ((3, 5), (4, 4, 1)), ((5,), (2, 4)), ((2, 0), (3, 0))],
+)
+def test_trace_rejects_edge_maps_of_mismatched_shapes(vert_shape, horiz_shape):
+    message = re.escape(f"{vert_shape} and {horiz_shape}")
+    with pytest.raises(ValueError, match=message):
+        trace_edge_maps(np.zeros(vert_shape, bool), np.zeros(horiz_shape, bool))
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (4,), ()])
+def test_edge_maps_rejects_depth_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        edge_maps(np.zeros(shape, np.uint8))
+
+
+def test_invalid_symbols_rejected():
+    with pytest.raises(ValueError, match="invalid relative symbol"):
+        Contour((0, 0), "E", "slx")
+    with pytest.raises(ValueError, match="invalid absolute direction"):
+        Contour((0, 0), "X", "s")
 
 
 def test_flat_image_has_no_contours():
