@@ -4,9 +4,10 @@ simple two-view synthesis.
 A contour splits each pixel row by the parity of vertical crack edges left of
 the pixel, so "which side of the contour" is a per-row prefix parity.  Pixels
 whose side differs between the original and approximated contours are flipped:
-depth takes the nearest same-row value from the new side, color becomes a hole
-filled by constrained neighbour propagation (background holes only ever read
-background donors, and symmetrically).
+depth takes the nearest same-row value from the new side, left before right,
+or failing that the nearest same-column value, up before down; color becomes a
+hole filled by constrained neighbour propagation (background holes only ever
+read background donors, and symmetrically).
 
 Warping treats depth values as scaled disparities; larger disparity wins the
 z-buffer, ties go to the rightmost source pixel.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +36,10 @@ class ChangeMask:
 
     flags: np.ndarray  # bool
     side: np.ndarray  # uint8 parity under the approximated contour
+
+    def __post_init__(self):
+        if self.flags.shape != self.side.shape:
+            raise ValueError(f"flags of shape {self.flags.shape} and side of shape {self.side.shape} differ")
 
     @property
     def empty(self) -> bool:
@@ -54,8 +60,12 @@ def side_parity(contour: Contour, height: int, width: int) -> np.ndarray:
 
 
 def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):
-    """Flip depth pixels whose contour side changed, copying the nearest
-    same-row value from the new side (same-column fallback).
+    """Flip depth pixels whose contour side changed.
+
+    A flipped pixel copies its first donor, an unflipped pixel on its new
+    side, in this order: the same row at distance 1, 2, ..., left before
+    right, then the same column, up before down.  A pixel without a donor
+    keeps its value, and a warning is logged.
 
     Returns (augmented DepthImage, ChangeMask).
     """
@@ -67,29 +77,16 @@ def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):
     changed = side_o != side_a
 
     out = depth.pixels.copy()
-    donor_ok = ~changed
-    for r, c in np.argwhere(changed):
-        want = side_a[r, c]
-        value = None
-        for dist in range(1, w):
-            for cc in (c - dist, c + dist):
-                if 0 <= cc < w and donor_ok[r, cc] and side_a[r, cc] == want:
-                    value = depth.pixels[r, cc]
-                    break
-            if value is not None:
-                break
-        if value is None:
-            for dist in range(1, h):
-                for rr in (r - dist, r + dist):
-                    if 0 <= rr < h and donor_ok[rr, c] and side_a[rr, c] == want:
-                        value = depth.pixels[rr, c]
-                        break
-                if value is not None:
-                    break
-        if value is None:
+    donors = [~changed & (side_a == s) for s in (0, 1)]
+    for r, c in np.argwhere(changed).tolist():
+        ok = donors[side_a[r, c]]
+        row = ((r, cc) for dist in range(1, w) for cc in (c - dist, c + dist) if 0 <= cc < w)
+        column = ((rr, c) for dist in range(1, h) for rr in (r - dist, r + dist) if 0 <= rr < h)
+        donor = next((p for p in chain(row, column) if ok[p]), None)
+        if donor is None:
             logger.warning("no donor found for flipped pixel (%d, %d); value kept", r, c)
-            value = depth.pixels[r, c]
-        out[r, c] = value
+        else:
+            out[r, c] = depth.pixels[donor]
     return DepthImage(out), ChangeMask(changed, side_a)
 
 
@@ -98,50 +95,50 @@ def augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
 
     Flipped pixels become holes; every pass fills each hole that has at least
     one non-hole 4-neighbour on the same (new) side with the average of those
-    donors, until no hole remains.  Unreachable holes fall back to any
-    neighbour and are logged.
+    donors, summed below, above, right, left, until no hole remains.
+    Unreachable holes fall back to any neighbour and are logged.
+
+    The passes run on the holes' bounding box grown by one pixel, which holds
+    every donor a pass can read, padded with a one-pixel frame of permanent
+    holes.  The frame stands for the image border; inside the image it
+    touches only the box's edge pixels, which are never holes.
     """
     if mask.flags.shape != color.pixels.shape[:2]:
         raise ValueError("mask dimensions do not match the color image")
-    work = color.pixels.astype(np.float64)
-    holes = mask.flags
-    side = mask.side
+    out = color.pixels.copy()
+    rows, cols = np.nonzero(mask.flags)
+    if rows.size == 0:
+        return ColorImage(out)
+    box = np.s_[max(rows.min() - 1, 0) : rows.max() + 2, max(cols.min() - 1, 0) : cols.max() + 2]
+    work = np.pad(color.pixels[box].astype(np.float64), ((1, 1), (1, 1), (0, 0)))
+    holes = np.pad(mask.flags[box], 1, constant_values=True)
+    side = np.pad(mask.side[box], 1)
+    inner = np.s_[1:-1, 1:-1]
+    around = (np.s_[2:, 1:-1], np.s_[:-2, 1:-1], np.s_[1:-1, 2:], np.s_[1:-1, :-2])  # below, above, right, left
 
-    def fill_pass(require_side: bool) -> bool:
-        nonlocal holes
-        total = np.zeros_like(work)
-        num = np.zeros(holes.shape, np.float64)
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nb_val = np.roll(work, (dr, dc), axis=(0, 1))
-            ok = ~np.roll(holes, (dr, dc), axis=(0, 1))
+    require_side = True
+    while holes[inner].any():
+        total = np.zeros_like(work[inner])
+        num = np.zeros(total.shape[:2])
+        for nb in around:
+            sel = holes[inner] & ~holes[nb]
             if require_side:
-                ok &= np.roll(side, (dr, dc), axis=(0, 1)) == side
-            if dr == -1:
-                ok[-1:, :] = False
-            elif dr == 1:
-                ok[:1, :] = False
-            elif dc == -1:
-                ok[:, -1:] = False
-            else:
-                ok[:, :1] = False
-            sel = holes & ok
-            total[sel] += nb_val[sel]
+                sel &= side[nb] == side[inner]
+            total[sel] += work[nb][sel]
             num[sel] += 1.0
-        fillable = holes & (num > 0)
-        if not fillable.any():
-            return False
-        work[fillable] = total[fillable] / num[fillable][:, None]
-        holes = holes & ~fillable
-        return True
-
-    while holes.any():
-        if fill_pass(require_side=True):
-            continue
-        logger.warning("%d hole(s) without a same-side donor; filling from any neighbour", int(holes.sum()))
-        if not fill_pass(require_side=False):
+        if num.any():
+            fill = num > 0
+            work[inner][fill] = total[fill] / num[fill][:, None]
+            holes[inner][fill] = False
+            require_side = True
+        elif require_side:
+            logger.warning("%d hole(s) without a same-side donor; filling from any neighbour", int(holes[inner].sum()))
+            require_side = False
+        else:
             logger.warning("isolated hole(s) left unfilled")
             break
-    return ColorImage(np.clip(np.rint(work), 0, 255).astype(np.uint8))
+    out[box] = np.clip(np.rint(work[inner]), 0, 255)
+    return ColorImage(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import logging.handlers
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +10,19 @@ from conftest import contour_from_boundary_columns, contour_row_shifts, textured
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import ApproxConfig, approximate_contour
 from contourcodec.augment import (
+    ChangeMask,
     _fill_holes_row,
     _warp,
     approximate_stereo,
     augment_color,
     augment_depth,
+    logger,
     side_parity,
     synthesize_view,
 )
 from contourcodec.cli import psnr
 from contourcodec.config import PipelineConfig
-from contourcodec.contour import detect_contours, to_relative
+from contourcodec.contour import OPPOSITE, detect_contours, to_relative
 from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene, render_scene_view
 from contourcodec.swim import SwimConfig
 
@@ -89,6 +94,23 @@ class TestAugmentDepth:
         with pytest.raises(ValueError, match="contour leaves the image lattice"):
             augment_depth(depth, outside, inside)
 
+    def test_flipped_pixel_without_donor_keeps_its_value(self, caplog):
+        # the loop around pixel (0, 0) grows to the whole 2x2 image: (0, 1)
+        # copies its row, (1, 0) its column, and (1, 1) finds only flipped
+        # pixels in both
+        depth = DepthImage(np.array([[10, 20], [30, 40]], np.uint8))
+        original, approximated = to_relative((0, 0), "ESWN"), to_relative((0, 0), "EESSWWNN")
+        with caplog.at_level("WARNING", logger="contourcodec.augment"):
+            out, mask = augment_depth(depth, original, approximated)
+        assert mask.flags.tolist() == [[False, True], [True, True]]
+        assert out.pixels.tolist() == [[10, 10], [10, 40]]
+        assert caplog.messages == ["no donor found for flipped pixel (1, 1); value kept"]
+
+    @pytest.mark.parametrize("side_shape", [(1, 5), (4, 1), (5, 4)])
+    def test_change_mask_rejects_side_of_another_shape(self, side_shape):
+        with pytest.raises(ValueError, match=r"flags of shape \(4, 5\) and side of shape"):
+            ChangeMask(np.zeros((4, 5), bool), np.zeros(side_shape, np.uint8))
+
 
 class TestAugmentColor:
     def test_empty_mask_identity(self, rng):
@@ -126,6 +148,200 @@ class TestAugmentColor:
                 got = filled.pixels[..., ch][holes].astype(int)
                 assert got.min() >= lo - 1 and got.max() <= hi + 1
             depth, color = newd, filled
+
+    def test_fallback_and_unfilled_holes_are_logged(self, caplog):
+        color = ColorImage(np.array([[[10] * 3, [99] * 3, [31] * 3]], np.uint8))
+        with caplog.at_level("WARNING", logger="contourcodec.augment"):
+            # the hole's neighbours both lie on the other side
+            mixed = augment_color(color, ChangeMask(np.array([[False, True, False]]), np.array([[0, 1, 0]], np.uint8)))
+            alone = augment_color(color, ChangeMask(np.ones((1, 3), bool), np.zeros((1, 3), np.uint8)))
+        assert mixed.pixels[0, 1].tolist() == [20] * 3  # rint(20.5): to even
+        assert alone == color
+        assert caplog.messages == [
+            "1 hole(s) without a same-side donor; filling from any neighbour",
+            "3 hole(s) without a same-side donor; filling from any neighbour",
+            "isolated hole(s) left unfilled",
+        ]
+
+    @pytest.mark.parametrize("corner", [(479, 639), (0, 0), (957, 1277)])
+    def test_fill_memory_scales_with_the_holes_not_the_image(self, corner):
+        """A 3x3 flip in a 960x1280 image allocates about the output copy,
+        at the image's centre and at two of its corners."""
+        h, w = 960, 1280
+        color = ColorImage(np.full((h, w, 3), 7, np.uint8))
+        flags = np.zeros((h, w), bool)
+        flags[corner[0] : corner[0] + 3, corner[1] : corner[1] + 3] = True
+        mask = ChangeMask(flags, np.zeros((h, w), np.uint8))
+        budget = 2 * color.pixels.nbytes
+        tracemalloc.start()
+        try:
+            out = augment_color(color, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == color
+        assert peak < budget
+
+
+def _reference_augment_depth(depth: DepthImage, original, approximated):
+    """Searches the row, then the column, each in its own loop."""
+    if original.start != approximated.start or original.end != approximated.end:
+        raise ValueError("contour endpoint mismatch")
+    h, w = depth.pixels.shape
+    side_o = side_parity(original, h, w)
+    side_a = side_parity(approximated, h, w)
+    changed = side_o != side_a
+
+    out = depth.pixels.copy()
+    donor_ok = ~changed
+    for r, c in np.argwhere(changed):
+        want = side_a[r, c]
+        value = None
+        for dist in range(1, w):
+            for cc in (c - dist, c + dist):
+                if 0 <= cc < w and donor_ok[r, cc] and side_a[r, cc] == want:
+                    value = depth.pixels[r, cc]
+                    break
+            if value is not None:
+                break
+        if value is None:
+            for dist in range(1, h):
+                for rr in (r - dist, r + dist):
+                    if 0 <= rr < h and donor_ok[rr, c] and side_a[rr, c] == want:
+                        value = depth.pixels[rr, c]
+                        break
+                if value is not None:
+                    break
+        if value is None:
+            logger.warning("no donor found for flipped pixel (%d, %d); value kept", r, c)
+            value = depth.pixels[r, c]
+        out[r, c] = value
+    return DepthImage(out), ChangeMask(changed, side_a)
+
+
+def _reference_augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
+    """Every pass rolls the whole image four ways and masks the wrap-around."""
+    if mask.flags.shape != color.pixels.shape[:2]:
+        raise ValueError("mask dimensions do not match the color image")
+    work = color.pixels.astype(np.float64)
+    holes = mask.flags
+    side = mask.side
+
+    def fill_pass(require_side: bool) -> bool:
+        nonlocal holes
+        total = np.zeros_like(work)
+        num = np.zeros(holes.shape, np.float64)
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nb_val = np.roll(work, (dr, dc), axis=(0, 1))
+            ok = ~np.roll(holes, (dr, dc), axis=(0, 1))
+            if require_side:
+                ok &= np.roll(side, (dr, dc), axis=(0, 1)) == side
+            if dr == -1:
+                ok[-1:, :] = False
+            elif dr == 1:
+                ok[:1, :] = False
+            elif dc == -1:
+                ok[:, -1:] = False
+            else:
+                ok[:, :1] = False
+            sel = holes & ok
+            total[sel] += nb_val[sel]
+            num[sel] += 1.0
+        fillable = holes & (num > 0)
+        if not fillable.any():
+            return False
+        work[fillable] = total[fillable] / num[fillable][:, None]
+        holes = holes & ~fillable
+        return True
+
+    while holes.any():
+        if fill_pass(require_side=True):
+            continue
+        logger.warning("%d hole(s) without a same-side donor; filling from any neighbour", int(holes.sum()))
+        if not fill_pass(require_side=False):
+            logger.warning("isolated hole(s) left unfilled")
+            break
+    return ColorImage(np.clip(np.rint(work), 0, 255).astype(np.uint8))
+
+
+def logged(fn, *args):
+    """fn(*args) and the messages it logs to the augment logger."""
+    handler = logging.handlers.BufferingHandler(capacity=10 ** 6)
+    logger.addHandler(handler)
+    try:
+        result = fn(*args)
+    finally:
+        logger.removeHandler(handler)
+    return result, [record.getMessage() for record in handler.buffer]
+
+
+def rerouted(contour, rng, height, width):
+    """The contour with one random run of its moves reversed or shuffled:
+    the same endpoints, and the pixels between the two routes change side.
+    None when no try is a chain without U-turns inside the image."""
+    dirs = contour.absolute_dirs()
+    i, j = sorted(rng.integers(0, len(dirs) + 1, 2))
+    runs = [dirs[i:j][::-1]] + [[dirs[k] for k in rng.permutation(range(i, j))] for _ in range(10)]
+    for run in runs:
+        moves = dirs[:i] + run + dirs[j:]
+        if any(OPPOSITE[a] == b for a, b in zip(moves, moves[1:])):
+            continue
+        candidate = to_relative(contour.start, moves)
+        if all(0 <= p <= height and 0 <= q <= width for p, q in candidate.points()):
+            return candidate
+    return None
+
+
+class TestAugmentAgainstReference:
+    """The one-search depth flip and the framed-box fill give the outputs and
+    the log messages of the row-then-column loops and the rolled fill."""
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        hole_rate=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        edges=st.sets(st.sampled_from(["top", "bottom", "left", "right"])),
+        side_levels=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=400)
+    def test_augment_color(self, seed, shape, hole_rate, edges, side_levels):
+        rng = np.random.default_rng(seed)
+        flags = rng.random(shape) < hole_rate
+        for edge in edges:
+            flags[{"top": np.s_[0], "bottom": np.s_[-1], "left": np.s_[:, 0], "right": np.s_[:, -1]}[edge]] = True
+        # random sides leave holes with no same-side donor: the fallback fires
+        mask = ChangeMask(flags, rng.integers(0, side_levels, shape).astype(np.uint8))
+        color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8))
+        inputs = [a.copy() for a in (color.pixels, mask.flags, mask.side)]
+        expected, expected_log = logged(_reference_augment_color, color, mask)
+        got, got_log = logged(augment_color, color, mask)
+        assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, expected.pixels)
+        assert got_log == expected_log
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, (color.pixels, mask.flags, mask.side)))
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        levels=st.integers(2, 4),
+    )
+    @settings(max_examples=300)
+    def test_augment_depth(self, seed, shape, levels):
+        """Contours of a random few-level map against reroutes of themselves;
+        some flipped pixels have no donor in their row, some none at all."""
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.arange(0, 256, 40), levels, replace=False).astype(np.uint8)
+        pixels = rng.choice(values, shape)
+        depth = DepthImage(pixels.copy())
+        for original in detect_contours(depth, 30):
+            approximated = rerouted(original, rng, *shape)
+            if approximated is None:
+                continue
+            (want, want_mask), want_log = logged(_reference_augment_depth, depth, original, approximated)
+            (got, got_mask), got_log = logged(augment_depth, depth, original, approximated)
+            assert np.array_equal(got.pixels, want.pixels)
+            assert np.array_equal(got_mask.flags, want_mask.flags) and np.array_equal(got_mask.side, want_mask.side)
+            assert got_log == want_log
+        assert np.array_equal(depth.pixels, pixels)
 
 
 class TestWarp:

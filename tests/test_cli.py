@@ -411,6 +411,21 @@ def test_sweep_matches_small_n8w5_golden_csv():
     assert csv.encode() == expected
 
 
+
+BORDER_SWEEP = Path(__file__).with_name("data") / "sweep_96x80_border.csv"
+
+
+def test_sweep_matches_border_golden_csv():
+    """A 96x80 scene whose shapes may touch the image edge (margin 0), so
+    most of its color fills reach the border; the other golden CSVs never
+    flip a border pixel."""
+    expected = BORDER_SWEEP.read_bytes()
+    assert hashlib.sha256(expected).hexdigest().startswith("63447c6a5993")
+    spec = SceneSpec(width=96, height=80, shapes=3, jitter=2, margin=0, min_size=10, max_size=40, texture="noise")
+    left, right = make_synthetic_scene(4, spec)
+    csv = run_sweep(left, right, PipelineConfig(seed=4), (0.0, 2.0, 8.0), spec.value_scale, timing=False)
+    assert csv.encode() == expected
+
 def test_psnr_cap_and_symmetry(rng):
     img = ColorImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     assert psnr(img, img) == 99.0
