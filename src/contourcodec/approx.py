@@ -1,27 +1,21 @@
 """RD-optimal contour approximation by dynamic programming over segments.
 
 A two-direction segment must keep its endpoints, so every candidate is a
-monotone lattice path inside the rectangle spanned by them; the DP state is
-(recent direction window, head corner), and the cost of an edge is
-``lambda * bits + row_distortion`` (the distortion term only for vertical
-edges, whose horizontal shift against the original edge in the same pixel
-row is what the proxy charges).  Adjacent segments are merged greedily when
-re-optimizing the pair inside their joint rectangle, plus the distortion of
+monotone lattice path inside the rectangle spanned by them.  The cost of an
+edge is ``lambda * bits``, plus ``RowProxy.edge_costs`` for a vertical edge:
+the proxy prices the edge's horizontal shift against the original edge in
+the same pixel row, its row distortion plus the inter-view penalty of the
+view the proxy was built for.  Adjacent segments are merged greedily when
+re-optimizing the pair inside their joint rectangle, plus the cost of
 projecting out-of-rectangle original edges onto it, beats the pair's summed
 cost.
 
-The segment DP runs over dense states.  After t moves a state is (i, m):
-i vertical moves made and m the last min(t, K) moves as bits, which with
-the prior window fix the context of the next edge.  For a segment of V
-vertical moves each anti-diagonal is one 2^K x (V + 2) cost table, updated
-by four ufunc calls: add the rate of each (window, move), add the row cost
-of each vertical move, compare the two parents a state can have (their
-windows differ only in the move they drop) and keep the smaller.  Nothing
-is built or kept per segment shape.  The ties are those of a dict DP that
-inserts a state on its first arrival and replaces it only on a strictly
-cheaper one, which fixes the path among equal-cost ones: of two parents the
-one that dropped a horizontal move arrives first, and end states arrive by
-(more horizontal moves in the window first, then ascending mask).
+The segment DP runs over dense states (``approximate_segment`` defines them
+and their tie rule).  For a segment of V vertical moves each anti-diagonal
+is one 2^K x (V + 2) cost table, updated by four ufunc calls: add the rate
+of each (window, move), add the row cost of each vertical move, compare the
+two parents a state can have and keep the smaller.  Nothing is built or
+kept per segment shape.
 
 Rate terms are read from the coder's own context model
 (``aec.context_model``), which prices every edge from the window of the
@@ -55,7 +49,7 @@ from .contour import (
     step,
 )
 # row_distortion is bound here for perfbench's test_wrappers_replace_every_binding_and_are_removed
-from .swim import RowProxy, SwimConfig, row_distortion, row_proxy  # noqa: F401
+from .swim import SwimConfig, row_distortion, row_proxy  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -88,12 +82,13 @@ class RdCost:
     total: float  # distortion + lambda * rate
 
 
-def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, cfg: ApproxConfig, penalty_weight: float = 0.0) -> RdCost:
+def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, cfg: ApproxConfig) -> RdCost:
     """Cost of one explicit candidate path, accumulated edge by edge in the
     same order the DP uses (so totals are bit-comparable).  Only the last K
     ``prior_dirs`` count; ``RowProxy.edge_costs`` prices a vertical edge's
     move from its row's column in ``vertical_columns``.  ``color`` is an
-    image or a row proxy of it.  Raises ValueError when an edge doubles back."""
+    image or a row proxy of it, whose weight prices each shift.  Raises
+    ValueError when an edge doubles back."""
     k = cfg.aec.context_len
     recent = tuple(prior_dirs)[-k:]
     proxy = row_proxy(color, cfg.swim)
@@ -108,14 +103,14 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, c
         total += cfg.lagrange * bits
         rate += bits
         if vertical:
-            (c,) = proxy.edge_costs(row, vertical_columns[row], (q,), penalty_weight)
+            (c,) = proxy.edge_costs(row, vertical_columns[row], (q,))
             total += c
             dist += c
         recent = (recent + (d,))[-k:]
     return RdCost(dist, rate, total)
 
 
-def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, penalty_weight: float = 0.0, forbidden_last: str | None = None):
+def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, forbidden_last: str | None = None):
     """Minimize distortion + lambda*rate over all same-endpoint paths.
 
     ``prior_dirs`` are the directions already coded before this segment (the
@@ -124,8 +119,10 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     crossed by the original segment's vertical edges to the edge column.
     ``forbidden_last`` excludes paths ending in that direction, so the next
     segment of the contour can never be forced into a 180-degree turn.
-    ``color`` is the view's color image or a ``swim.RowProxy`` of it;
-    callers that approximate several segments of one image share one proxy.
+    ``color`` is the view's color image or a ``swim.RowProxy`` of it, whose
+    weight is the view's inter-view penalty (an image is priced with weight
+    0); callers that approximate several segments of one image share one
+    proxy.
 
     After t moves a state is (i, m): i vertical moves made and m the last
     min(t, K) moves as bits (vertical 0, horizontal 1, newest in bit 0).
@@ -188,7 +185,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     columns = [q0 + dq_h * j for j in range(h_count + 1)]
     costs = []
     for row in range(p0 + row_offset, p0 + row_offset + dp_v * v_count, dp_v):
-        costs += proxy.edge_costs(row, vertical_columns[row], columns, penalty_weight)
+        costs += proxy.edge_costs(row, vertical_columns[row], columns)
     grid = np.zeros((v_count + 1, length + 1))
     grid[1:, : h_count + 1] = np.array(costs).reshape(v_count, h_count + 1)
     # a vertical move into (i, m) after t moves leaves (i - 1, t - i + 1)
@@ -221,7 +218,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
+        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -234,7 +231,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         i -= 1 - move
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
+    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg)
     return result, cost
 
 
@@ -277,7 +274,7 @@ def project_onto_rectangle(a: Segment, b: Segment):
     return Segment(l0, (dir_v, dir_h), "".join(dirs)), shifts
 
 
-def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, cost_a: RdCost, cost_b: RdCost, forbidden_last: str | None = None, penalty_weight: float = 0.0):
+def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, cost_a: RdCost, cost_b: RdCost, forbidden_last: str | None = None):
     """Try to replace two adjacent segments by one re-optimized segment.
 
     ``prior_dirs`` and ``forbidden_last`` are the merged segment's context
@@ -293,13 +290,12 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     if projection is None:
         return None
     projected, shifts = projection
-    merge_d = sum(proxy.edge_costs(row, q_orig, (q_proj,), penalty_weight)[0] for row, q_orig, q_proj in shifts)
+    merge_d = sum(proxy.edge_costs(row, q_orig, (q_proj,))[0] for row, q_orig, q_proj in shifts)
     if math.isinf(merge_d):
         return None
     try:
         mseg, mcost = approximate_segment(
-            projected, prior_dirs, proxy, segment_vertical_columns(projected), cfg,
-            penalty_weight=penalty_weight, forbidden_last=forbidden_last,
+            projected, prior_dirs, proxy, segment_vertical_columns(projected), cfg, forbidden_last=forbidden_last
         )
     except ValueError:
         return None
@@ -309,17 +305,18 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     return None
 
 
-def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, penalty_weight: float = 0.0):
+def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
     """Approximate a whole contour: per-segment DP, then greedy merging of
     adjacent pairs (left-to-right passes repeated until no pass improves).
 
-    Returns (approximated Contour, RdCost).  The reported rate is the entropy
-    estimate of the final reassembled contour; the distortion is the sum over
-    segments including any merge distortion.
+    ``color`` is the view's color image or a ``swim.RowProxy`` of it, as in
+    ``approximate_segment``; a contour that leaves the image raises
+    ValueError.  Returns (approximated Contour, RdCost).  The reported rate
+    is the entropy estimate of the final reassembled contour; the distortion
+    is the sum over segments including any merge distortion.
     """
-    if depth is not None:
-        contour.check_inside(*getattr(depth, "pixels", depth).shape)
-    proxy = RowProxy(color, cfg.swim)
+    proxy = row_proxy(color, cfg.swim)
+    contour.check_inside(*proxy.lum.shape)
     k = cfg.aec.context_len
     slots = []
     recent = ()
@@ -329,10 +326,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
         # 180-degree turn at the seam (or push it onto edges beyond the match
         # window); the original seam direction always leaves a finite path
         forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
-        approx, cost = approximate_segment(
-            seg, recent, proxy, segment_vertical_columns(seg), cfg,
-            penalty_weight=penalty_weight, forbidden_last=forbidden,
-        )
+        approx, cost = approximate_segment(seg, recent, proxy, segment_vertical_columns(seg), cfg, forbidden_last=forbidden)
         slots.append([seg, approx, cost])
         recent = (recent + tuple(approx.dirs))[-k:]
 
@@ -346,8 +340,7 @@ def approximate_contour(contour: Contour, depth, color, cfg: ApproxConfig, *, pe
                 forbidden = OPPOSITE[slots[i + 2][1].dirs[0]] if i + 2 < len(slots) else None
                 res = merge_segments(
                     slots[i][0], slots[i + 1][0], prior, proxy, cfg,
-                    cost_a=slots[i][2], cost_b=slots[i + 1][2],
-                    forbidden_last=forbidden, penalty_weight=penalty_weight,
+                    cost_a=slots[i][2], cost_b=slots[i + 1][2], forbidden_last=forbidden,
                 )
                 if res is None:
                     prior = (prior + tuple(slots[i][1].dirs))[-k:]

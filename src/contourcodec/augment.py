@@ -25,6 +25,7 @@ import numpy as np
 from .approx import ApproxConfig, approximate_contour
 from .contour import Contour, cracks, detect_contours
 from .image_io import ColorImage, DepthImage
+from .swim import RowProxy
 
 logger = logging.getLogger(__name__)
 
@@ -258,7 +259,7 @@ class StereoResult:
         return sum(c.distortion for c in self.left.costs + self.right.costs)
 
 
-def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, threshold: int, penalty_weight: float) -> ViewResult:
+def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, threshold: int, weight: float) -> ViewResult:
     start = time.perf_counter()
     contours = detect_contours(depth, threshold)
     detect_s = time.perf_counter() - start
@@ -266,7 +267,7 @@ def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, t
     approximated = []
     costs = []
     for c in contours:
-        ac, cost = approximate_contour(c, out_d, out_c, cfg, penalty_weight=penalty_weight)
+        ac, cost = approximate_contour(c, RowProxy(out_c, cfg.swim, weight), cfg)
         if ac != c:
             out_d, mask = augment_depth(out_d, c, ac)
             out_c = augment_color(out_c, mask)
@@ -281,17 +282,16 @@ def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int = 30, s
     The left view is approximated and augmented first; its augmented pair is
     projected to the right viewpoint, the right pair is overwritten wherever
     the projection disagrees with it, and the right view is then approximated
-    with the squared-shift inter-view penalty so projected edges stay put.
+    with ``cfg.interview_weight`` * shift^2 added to the cost of every
+    vertical edge it shifts, whether or not the projection placed that edge.
     """
     _check_sizes(left, right)
-    lres = _approximate_view(left[0], left[1], cfg, threshold, penalty_weight=0.0)
+    lres = _approximate_view(left[0], left[1], cfg, threshold, 0.0)
 
     proj_d, proj_c, proj_valid = _warp(lres.depth, lres.color, 1.0, -1, scale)
     rdep, rcol = right
     changed = proj_valid & (proj_d != rdep.pixels)
     new_d = np.where(changed, proj_d, rdep.pixels)
     new_c = np.where(changed[..., None], proj_c, rcol.pixels)
-    rres = _approximate_view(
-        DepthImage(new_d), ColorImage(new_c), cfg, threshold, penalty_weight=cfg.interview_weight
-    )
+    rres = _approximate_view(DepthImage(new_d), ColorImage(new_c), cfg, threshold, cfg.interview_weight)
     return StereoResult(lres, rres)

@@ -217,18 +217,24 @@ def window_anchor(q: int, width: int, block: int) -> int:
 
 
 class RowProxy:
-    """Row-distortion proxy of one image under one SwimConfig.
+    """Row-distortion proxy of one image under one SwimConfig, priced with
+    the inter-view weight of the view the image belongs to.
 
     The image is converted to luminance once; the distortions of a window's
     2W + 1 shifts are computed together and memoized by (row, window start).
-    ``edge_costs`` is the optimizer's one price of a shifted vertical edge.
-    The proxy is valid only while the image does not change: build a new one
-    after editing the image.
+    ``edge_costs`` is the optimizer's one price of a shifted vertical edge:
+    its distortion plus ``weight`` * shift^2, the inter-view penalty of the
+    dependent (right) view, 0 on the left view.  ``weight`` must be finite
+    and >= 0.  The proxy is valid only while the image does not change:
+    build a new one after editing the image.
     """
 
-    def __init__(self, image, cfg: SwimConfig):
+    def __init__(self, image, cfg: SwimConfig, weight: float = 0.0):
+        if not 0 <= weight < math.inf:
+            raise ValueError("weight must be finite and >= 0")
         self.lum = luminance(image)
         self.cfg = cfg
+        self.weight = weight
         self._shifts = {}
 
     def _vector(self, row: int, window_start: int) -> list:
@@ -258,20 +264,13 @@ class RowProxy:
             ]
         return out
 
-    def distortions(self, row: int, window_start: int, shifts) -> list:
-        """Distortion of shifting the edge by each of ``shifts`` columns (inf
-        beyond the match window); for a shift s the comparison window starts
-        at ``window_start - s``."""
-        vector, win, inf = self._vector(row, window_start), self.cfg.window, math.inf
-        return [vector[s + win] if -win <= s <= win else inf for s in shifts]
-
-    def edge_costs(self, row: int, q_orig: int, columns, weight: float = 0.0) -> list:
+    def edge_costs(self, row: int, q_orig: int, columns) -> list:
         """Cost of moving the vertical edge in ``row`` from ``q_orig`` to each
-        of ``columns``: the distortion at ``q_orig``'s window anchor plus the
-        inter-view penalty weight * shift^2 (weight 0 on the left view)."""
-        anchor = window_anchor(q_orig, self.lum.shape[1], self.cfg.block)
-        shifts = [q - q_orig for q in columns]
-        return [d + weight * s ** 2 for d, s in zip(self.distortions(row, anchor, shifts), shifts)]
+        of ``columns``: the distortion at ``q_orig``'s window anchor plus
+        weight * shift^2, or inf for a shift beyond the match window."""
+        vector = self._vector(row, window_anchor(q_orig, self.lum.shape[1], self.cfg.block))
+        win, weight = self.cfg.window, self.weight
+        return [vector[s + win] + weight * s ** 2 if -win <= (s := q - q_orig) <= win else math.inf for q in columns]
 
 
 def row_proxy(image, cfg: SwimConfig) -> RowProxy:
@@ -291,6 +290,8 @@ def row_distortion(image, row: int, window_start: int, q_orig: int, q_new: int, 
     shifted by the negated edge shift.  Shifts beyond the match window, or
     comparison windows that would leave the image, give +inf.  ``image`` is
     an image or a :class:`RowProxy` of one, which serves repeated calls from
-    its memo.
+    its memo without charging its weight.
     """
-    return row_proxy(image, cfg).distortions(row, window_start, (q_new - q_orig,))[0]
+    vector = row_proxy(image, cfg)._vector(row, window_start)
+    shift = q_new - q_orig
+    return vector[shift + cfg.window] if -cfg.window <= shift <= cfg.window else math.inf

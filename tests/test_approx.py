@@ -61,7 +61,7 @@ def random_segment(rng, max_len=12):
     return Segment(start, (dir_v, dir_h), "".join(dirs))
 
 
-def brute_force_minimum(seg, prior, color, cols, cfg, penalty_weight=0.0):
+def brute_force_minimum(seg, prior, color, cols, cfg):
     """Exhaustive minimum over all same-endpoint paths (the DP oracle)."""
     dir_v, dir_h = seg.dirpair
     t, v = seg.length, seg.vertical_count
@@ -74,7 +74,7 @@ def brute_force_minimum(seg, prior, color, cols, cfg, penalty_weight=0.0):
             dirs[i] = dir_v
         if prior and dirs[0] == opposite[prior[-1]]:
             continue  # the DP forbids 180-degree turns at the seam
-        cost = segment_path_cost(seg, dirs, prior, proxy, cols, cfg, penalty_weight)
+        cost = segment_path_cost(seg, dirs, prior, proxy, cols, cfg)
         if cost.total < best:
             best = cost.total
     return best
@@ -83,7 +83,7 @@ def brute_force_minimum(seg, prior, color, cols, cfg, penalty_weight=0.0):
 logger = logging.getLogger(__name__)
 
 
-def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, penalty_weight: float = 0.0, forbidden_last: str | None = None):
+def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: ApproxConfig, *, forbidden_last: str | None = None):
     """The former dict-of-(window, p, q) DP, kept as the reference for the
     dense one: states are inserted on first arrival, vertical move first,
     and replaced only by a strictly cheaper arrival.
@@ -94,8 +94,9 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
     column.
     ``forbidden_last`` excludes paths ending in that direction, so the next
     segment of the contour can never be forced into a 180-degree turn.
-    ``color`` is the view's color image or a ``swim.RowProxy`` of it; callers
-    that approximate several segments of one image share one proxy.
+    ``color`` is the view's color image or a ``swim.RowProxy`` of it, whose
+    weight prices each shift; callers that approximate several segments of
+    one image share one proxy.
 
     Returns (approximated Segment, RdCost).
     """
@@ -132,7 +133,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
             if p != p_end and last != opp_v:
                 c = cost + lagrange * bits[dir_v]
                 row = p + row_offset
-                c += proxy.edge_costs(row, vertical_columns[row], (q,), penalty_weight)[0]
+                c += proxy.edge_costs(row, vertical_columns[row], (q,))[0]
                 new = ((recent + (dir_v,))[-k:], p + dp_v, q)
                 old = nxt.get(new)
                 if old is None or c < old:
@@ -162,7 +163,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
+        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -172,7 +173,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
         dirs.append(d)
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg, penalty_weight)
+    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg)
     return result, cost
 
 
@@ -180,9 +181,9 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
 def tie_heavy_cases(draw):
     """Segment DP inputs where many paths cost the same: mostly flat color
     (every finite row cost 0), lambda 0 or > 0, K 1-5, prior windows that
-    may block the first move, forbidden last moves, penalty weights, and
-    match windows narrow enough (or original columns far enough away) for
-    infinite row costs."""
+    may block the first move, forbidden last moves, proxies with penalty
+    weights, and match windows narrow enough (or original columns far enough
+    away) for infinite row costs."""
     k = draw(st.integers(1, 5))
     dir_v, dir_h = draw(st.sampled_from("SN")), draw(st.sampled_from("EW"))
     v = draw(st.integers(0, 6))
@@ -200,11 +201,9 @@ def tie_heavy_cases(draw):
         aec=AecParams(context_len=k),
         swim=SwimConfig(block=8, window=draw(st.sampled_from([1, 2, 4, 10]))),
     )
-    options = dict(
-        penalty_weight=draw(st.sampled_from([0.0, 1.0, 1e6])),
-        forbidden_last=draw(st.sampled_from([None, "N", "E", "S", "W"])),
-    )
-    return (seg, prior, color, cols, cfg), options
+    proxy = RowProxy(color, cfg.swim, draw(st.sampled_from([0.0, 1.0, 1e6])))
+    options = dict(forbidden_last=draw(st.sampled_from([None, "N", "E", "S", "W"])))
+    return (seg, prior, proxy, cols, cfg), options
 
 
 def _outcome(dp, args, options):
@@ -276,7 +275,7 @@ class TestRowCostFill:
     def test_grid_and_proxy_match_scalar_fits(self, case):
         image, swim, rows, cols, q_orig, weight = case
         lum = luminance(image)
-        table = RowProxy(image, swim)
+        table = RowProxy(image, swim, weight)
         proxy = RowProxy(image, swim)
         origs = [cols[row] if q_orig is None else q_orig for row in rows]
         columns = range(min(origs) - swim.window - 2, max(origs) + swim.window + 3)  # beyond +-W on both sides
@@ -285,10 +284,10 @@ class TestRowCostFill:
             expected = []
             for q in columns:
                 distortion, cost = _scalar_row_cost(lum, row, orig, q, swim, weight)
-                assert proxy.distortions(row, start, (q - orig,)) == [distortion]
-                assert table.edge_costs(row, orig, (q,), weight) == [cost]
+                assert row_distortion(proxy, row, start, orig, q, swim) == distortion
+                assert table.edge_costs(row, orig, (q,)) == [cost]
                 expected.append(cost)
-            assert table.edge_costs(row, orig, columns, weight) == expected
+            assert table.edge_costs(row, orig, columns) == expected
 
 
 class TestPriorWindow:
@@ -467,21 +466,21 @@ class TestApproximateContour:
         depth, color = self._scene(rng)
         for c in detect_contours(depth, 60):
             for lam in (0.0, 2.0, 16.0):
-                out, _ = approximate_contour(c, depth, color, small_cfg(lam))
+                out, _ = approximate_contour(c, color, small_cfg(lam))
                 assert len(split_segments(out)) <= len(split_segments(c))
                 assert out.start == c.start and out.end == c.end
 
     def test_zero_lambda_no_merge_zero_distortion(self, rng):
         depth, color = self._scene(rng)
         for c in detect_contours(depth, 60):
-            out, cost = approximate_contour(c, depth, color, small_cfg(0.0, merge=False))
+            out, cost = approximate_contour(c, color, small_cfg(0.0, merge=False))
             assert cost.distortion == 0.0
 
     def test_rate_matches_estimate_without_merging(self, rng):
         depth, color = self._scene(rng)
         params = AecParams()
         for c in detect_contours(depth, 60):
-            out, cost = approximate_contour(c, depth, color, small_cfg(3.0, merge=False))
+            out, cost = approximate_contour(c, color, small_cfg(3.0, merge=False))
             assert cost.rate == pytest.approx(estimate_rate(out, params), abs=1e-9)
 
     def test_jittered_rectangle_straightens_at_large_lambda(self, rng):
@@ -496,7 +495,7 @@ class TestApproximateContour:
         color = textured_color(rng, 64, 80)
         cfg = ApproxConfig(lagrange=50.0, merge=True, aec=AecParams(), swim=SwimConfig(block=16, window=10))
         (contour,) = detect_contours(DepthImage(depth), 60)
-        out, _ = approximate_contour(contour, DepthImage(depth), color, cfg)
+        out, _ = approximate_contour(contour, color, cfg)
         params = AecParams()
         assert estimate_rate(out, params) < estimate_rate(contour, params)
         cols_by_row = {}
@@ -512,6 +511,20 @@ class TestApproximateContour:
         left_cols = {min(cols_by_row[r]) for r in interior}
         right_cols = {max(cols_by_row[r]) for r in interior}
         assert len(left_cols) == 1 and len(right_cols) == 1
+
+    def test_contour_leaving_the_image_raises(self, rng):
+        # its corners reach column 33 of the 32-column image
+        contour = Contour((20, 30), "S", "sslssr")
+        with pytest.raises(ValueError, match="leaves the image"):
+            approximate_contour(contour, textured_color(rng, 32, 32), ApproxConfig(lagrange=1.0))
+
+    def test_proxy_is_priced_like_its_image(self, rng):
+        depth, color = self._scene(rng)
+        cfg = small_cfg(2.0)
+        for c in detect_contours(depth, 60):
+            out, cost = approximate_contour(c, color, cfg)
+            via_proxy, proxy_cost = approximate_contour(c, RowProxy(color, cfg.swim), cfg)
+            assert via_proxy == out and repr(proxy_cost) == repr(cost)
 
 
 class TestSegmentPathCost:
@@ -541,21 +554,29 @@ class TestInterviewPenalty:
 
     def test_zero_shift_unpenalized(self, rng):
         img = textured_color(rng, 24, 64)
-        assert RowProxy(img, self.CFG.swim).edge_costs(5, 20, (20,), 1e6) == [0.0]
+        assert RowProxy(img, self.CFG.swim, 1e6).edge_costs(5, 20, (20,)) == [0.0]
 
     def test_any_original_column_is_priced_at_its_own_anchor(self, rng):
         # merging prices an edge its projection moves, here from column 35 to 31
         img = textured_color(rng, 24, 64)
-        (cost,) = RowProxy(img, self.CFG.swim).edge_costs(5, 35, (31,), 1e6)
+        (cost,) = RowProxy(img, self.CFG.swim, 1e6).edge_costs(5, 35, (31,))
         assert cost == row_distortion(img, 5, 32, 35, 31, self.CFG.swim) + 16e6 < math.inf
 
     def test_huge_weight_prefers_zero_shift(self, rng):
         img = textured_color(rng, 24, 64)
-        proxy = RowProxy(img, self.CFG.swim)
-        (base,) = proxy.edge_costs(5, 20, (21,))
-        stay, shift = proxy.edge_costs(5, 20, (20, 21), 1e6)
+        (base,) = RowProxy(img, self.CFG.swim).edge_costs(5, 20, (21,))
+        stay, shift = RowProxy(img, self.CFG.swim, 1e6).edge_costs(5, 20, (20, 21))
         assert shift == base + 1e6  # a one-pixel shift adds exactly the weight
         assert stay < shift
+
+    def test_bad_weight_is_rejected(self, rng):
+        # unchecked, weight -50 prices SESESE at distortion -699.9, and nan
+        # returns EEEEEE, which misses the segment's endpoint
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 20), ("S", "E"), "SESESE")
+        for weight in (-50.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="weight must be finite and >= 0"):
+                approximate_segment(seg, (), RowProxy(color, self.CFG.swim, weight), segment_vertical_columns(seg), self.CFG)
 
     def test_segment_stays_put_under_penalty(self, rng):
         color = textured_color(rng, 40, 48)
@@ -563,5 +584,5 @@ class TestInterviewPenalty:
             seg = random_segment(rng)
             cols = segment_vertical_columns(seg)
             cfg = ApproxConfig(lagrange=10.0, **SMALL)
-            out, _ = approximate_segment(seg, (), color, cols, cfg, penalty_weight=1e6)
+            out, _ = approximate_segment(seg, (), RowProxy(color, cfg.swim, 1e6), cols, cfg)
             assert segment_vertical_columns(out) == cols

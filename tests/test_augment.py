@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import contour_from_boundary_columns, contour_row_shifts, textured_color
+from contourcodec import augment
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import ApproxConfig, approximate_contour
 from contourcodec.augment import (
@@ -136,7 +137,7 @@ class TestAugmentColor:
         (depth, color), _ = make_synthetic_scene(21, spec)
         cfg = ApproxConfig(lagrange=20.0, aec=AecParams(), swim=SwimConfig())
         for contour in detect_contours(depth, 30):
-            approx, _ = approximate_contour(contour, depth, color, cfg)
+            approx, _ = approximate_contour(contour, color, cfg)
             newd, mask = augment_depth(depth, contour, approx)
             filled = augment_color(color, mask)
             holes = mask.flags != 0
@@ -579,6 +580,23 @@ class TestApproximateStereo:
                 moved += qo != qn
         assert total > 0
         assert moved <= 0.01 * total
+
+    def test_each_contour_is_priced_with_its_views_weight(self, monkeypatch):
+        weights = []
+
+        class RecordingProxy(augment.RowProxy):
+            def __init__(self, image, cfg, weight=0.0):
+                super().__init__(image, cfg, weight)
+                weights.append(weight)
+
+        monkeypatch.setattr(augment, "RowProxy", RecordingProxy)
+        spec = SceneSpec(width=96, height=80, shapes=2, jitter=2, texture="noise")
+        left, right = make_synthetic_scene(17, spec)
+        cfg = ApproxConfig(lagrange=8.0, interview_weight=7.0, aec=AecParams(), swim=SwimConfig())
+        res = approximate_stereo(left, right, cfg, threshold=30, scale=spec.value_scale)
+        left_n, right_n = len(res.left.original_contours), len(res.right.original_contours)
+        assert left_n and right_n
+        assert weights == [0.0] * left_n + [7.0] * right_n
 
     def test_self_touching_approximation_keeps_the_original(self, caplog):
         # at lambda 0.5 and K=2 the left view's second contour approximates
