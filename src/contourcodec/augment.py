@@ -24,7 +24,7 @@ import numpy as np
 
 from .approx import ApproxConfig, approximate_contour
 from .contour import Contour, cracks, detect_contours
-from .image_io import ColorImage, DepthImage
+from .image_io import ColorImage, DepthImage, pixel_shift
 from .swim import RowProxy
 
 logger = logging.getLogger(__name__)
@@ -156,8 +156,7 @@ def _warp(depth: DepthImage, color: ColorImage | None, alpha: float, direction: 
         raise ValueError("direction must be -1 or +1")
     d = depth.pixels
     h, w = d.shape
-    shifts = np.rint(alpha * d.astype(np.float64) * scale).astype(np.int64)
-    cols = np.arange(w)[None, :] + direction * shifts
+    cols = np.arange(w)[None, :] + direction * pixel_shift(d, alpha, scale)
     inside = (cols >= 0) & (cols < w)
 
     src_r, src_c = np.nonzero(inside)

@@ -18,7 +18,6 @@ rows, synthesizing them and scoring the views.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 import time
@@ -141,16 +140,6 @@ def cmd_scene(args) -> int:
     return 0
 
 
-def _pair_digest(left, right) -> bytes:
-    """sha256 over a stereo pair's four arrays, each with its dtype and shape."""
-    digest = hashlib.sha256()
-    for image in (*left, *right):
-        a = np.ascontiguousarray(image.pixels)
-        digest.update(f"{a.dtype.str}{a.shape}".encode())
-        digest.update(a)
-    return digest.digest()
-
-
 def _changed_rows(images, references) -> np.ndarray:
     """Boolean mask of the rows in which any of ``images`` differs from its
     reference image."""
@@ -160,16 +149,18 @@ def _changed_rows(images, references) -> np.ndarray:
 def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: bool = True):
     """One CSV line per lambda; a failed stage aborts only its own row.
 
-    Rows whose modified pairs are byte-equal share one (d, PSNR) score.  The
+    Rows whose modified pairs are equal, image for image, share one (d, PSNR)
+    score, found by ``==`` in a list that the input pair starts.  The
     input pair's views are the references, and a view scored against itself
     gives d = 0 and the PSNR cap, unless it holds no whole block.  A new
     pair's views are synthesized only in the rows where the pair differs
     from the input pair and take the references' other rows, whose block
     rows then score 0 unevaluated; ``synth_ms`` times this and the scoring."""
     references = {a: synthesize_view(left, right, a, scale) for a in cfg.alphas}
-    scored = {}
+    inputs = (*left, *right)
+    scored = []  # (a pair's four images, its (d, PSNR))
     if all(min(v.height, v.width) >= cfg.block for v in references.values()):
-        scored[_pair_digest(left, right)] = (0.0, PSNR_CAP_DB)
+        scored.append((inputs, (0.0, PSNR_CAP_DB)))
     lines = [CSV_HEADER]
     for lam in lambdas:
         try:
@@ -183,13 +174,12 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
                 + len(aec.encode(stereo.right.contours, cfg.aec_params()))
             )
             t2 = time.perf_counter()
-            mod_left = (stereo.left.depth, stereo.left.color)
-            mod_right = (stereo.right.depth, stereo.right.color)
-            key = _pair_digest(mod_left, mod_right)
-            if key not in scored:
+            pair = (stereo.left.depth, stereo.left.color, stereo.right.depth, stereo.right.color)
+            scores = next((s for images, s in scored if images == pair), None)
+            if scores is None:
                 # synthesis reads only the row it writes
-                rows = _changed_rows((*mod_left, *mod_right), (*left, *right))
-                crop = [tuple(type(im)(im.pixels[rows]) for im in view) for view in (mod_left, mod_right)] if rows.any() else None
+                rows = _changed_rows(pair, inputs)
+                crop = [tuple(type(im)(im.pixels[rows]) for im in view) for view in (pair[:2], pair[2:])] if rows.any() else None
                 d_values = []
                 psnr_values = []
                 for a in cfg.alphas:
@@ -201,8 +191,9 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
                     d, _ = swim_score(synth, references[a], cfg.swim_config())
                     d_values.append(d)
                     psnr_values.append(psnr(synth, references[a]))
-                scored[key] = (sum(d_values) / len(d_values), sum(psnr_values) / len(psnr_values))
-            d_avg, psnr_avg = scored[key]
+                scores = (sum(d_values) / len(d_values), sum(psnr_values) / len(psnr_values))
+                scored.append((pair, scores))
+            d_avg, psnr_avg = scores
             t3 = time.perf_counter()
             score = 1.0 / (1.0 + d_avg)
             detect = stereo.left.detect_s + stereo.right.detect_s

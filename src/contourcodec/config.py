@@ -21,20 +21,20 @@ from .swim import SwimConfig
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    kappa: float = 2.0
-    omega: float = 1.0
-    context: int = 3
-    window: int = 10
-    block: int = 16
-    bins: int = 10
-    norm: float | None = None
-    rho: float = 1e6
+    kappa: float = AecParams.kappa
+    omega: float = AecParams.omega
+    context: int = AecParams.context_len
+    window: int = SwimConfig.window
+    block: int = SwimConfig.block
+    bins: int = SwimConfig.bins
+    norm: float | None = SwimConfig.norm
+    rho: float = ApproxConfig.interview_weight
     threshold: int = 30
     disparity_scale: float = 1.0
     alphas: tuple = (0.25, 0.5, 0.75)
     lambdas: tuple = (0.0, 0.5, 2.0, 8.0)
     seed: int = 0
-    merge: bool = True
+    merge: bool = ApproxConfig.merge
 
     def __post_init__(self):
         for lam in (0.0, *self.lambdas):
@@ -47,6 +47,8 @@ class PipelineConfig:
             raise ValueError("disparity_scale must be finite and > 0")
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def aec_params(self) -> AecParams:
         return AecParams(context_len=self.context, kappa=self.kappa, omega=self.omega)

@@ -13,11 +13,17 @@ table of ``trace_edge_maps``.
 A chain stores one absolute starting direction plus relative turns, the
 differential chain code.  Absolute directions are the characters "E", "S",
 "W", "N" (east/south/west/north in image coordinates, row axis pointing
-down); relative symbols are "l", "s", "r" (left, straight, right).
+down); relative symbols are "l", "s", "r" (left, straight, right).  The turn
+rule is stated once, as ``_RELATIVE``: the string ``sr?l`` indexed by
+(next - prev) % 4 of the directions' indices, "?" being the 180-degree turn
+that no crack chain takes.  A segment is the longest run from its first step
+over one vertical and one horizontal direction, the first of SE, SW, NE, NW
+on a tie (so a one-axis run keeps "S" or "E" in its unused slot).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,29 +36,15 @@ DIR_VECTOR = {"E": (0, 1), "S": (1, 0), "W": (0, -1), "N": (-1, 0)}
 OPPOSITE = {"E": "W", "S": "N", "W": "E", "N": "S"}
 
 _IDX = {d: i for i, d in enumerate(ABSOLUTE)}
-_TURN = {"l": -1, "s": 0, "r": 1}
-# relative symbol of a turn by (next - prev) % 4 direction codes
-_RELATIVE = np.frombuffer(b"sr?l", np.uint8)
+# relative symbol of a turn by (next - prev) % 4 direction indices
+_RELATIVE = "sr?l"
+_TURN = {rel: _RELATIVE.index(rel) for rel in "lsr"}
+_RELATIVE_CODES = np.frombuffer(_RELATIVE.encode(), np.uint8)
 
 
 def turn(direction: str, rel: str) -> str:
     """Absolute direction after taking relative step ``rel`` from ``direction``."""
     return ABSOLUTE[(_IDX[direction] + _TURN[rel]) % 4]
-
-
-def relative_between(prev: str, nxt: str) -> str:
-    """Relative symbol from one absolute direction to the next.
-
-    Raises ValueError for a 180-degree turn, which a crack chain cannot take.
-    """
-    delta = (_IDX[nxt] - _IDX[prev]) % 4
-    if delta == 0:
-        return "s"
-    if delta == 1:
-        return "r"
-    if delta == 3:
-        return "l"
-    raise ValueError("doubling back")
 
 
 def step(point, direction: str):
@@ -111,7 +103,9 @@ def to_relative(start, dirs) -> Contour:
     dirs = list(dirs)
     if not dirs:
         raise ValueError("empty chain")
-    rest = "".join(relative_between(a, b) for a, b in zip(dirs, dirs[1:]))
+    rest = "".join(_RELATIVE[(_IDX[b] - _IDX[a]) % 4] for a, b in zip(dirs, dirs[1:]))
+    if "?" in rest:
+        raise ValueError("doubling back")
     return Contour(tuple(start), dirs[0], rest)
 
 
@@ -155,31 +149,23 @@ def segment_endpoint(seg: Segment) -> tuple:
     return (p, q)
 
 
+# (vertical, horizontal) pairs in tie order, each with its run pattern
+_RUNS = tuple(((v, h), re.compile(f"[{v}{h}]*")) for v in "SN" for h in "EW")
+
+
 def split_segments(contour: Contour) -> list:
     """Split into maximal two-direction runs; corner edges stay with the
     earlier segment (maximal-prefix rule)."""
-    dirs = contour.absolute_dirs()
+    dirs = "".join(contour.absolute_dirs())
     pts = contour.points()
     segments = []
-    seg_start = 0
-    vert = horiz = None
-    for i, d in enumerate(dirs):
-        axis_vertical = d in "SN"
-        current = vert if axis_vertical else horiz
-        if current is not None and current != d:
-            segments.append(_make_segment(pts[seg_start], dirs[seg_start:i], vert, horiz))
-            seg_start = i
-            vert = horiz = None
-        if axis_vertical:
-            vert = d
-        else:
-            horiz = d
-    segments.append(_make_segment(pts[seg_start], dirs[seg_start:], vert, horiz))
+    i = 0
+    while i < len(dirs):
+        ends = [run.match(dirs, i).end() for _, run in _RUNS]
+        end = max(ends)
+        segments.append(Segment(pts[i], _RUNS[ends.index(end)][0], dirs[i:end]))
+        i = end
     return segments
-
-
-def _make_segment(start, dirs, vert, horiz) -> Segment:
-    return Segment(tuple(start), (vert or "S", horiz or "E"), "".join(dirs))
 
 
 def join_segments(segments) -> Contour:
@@ -307,7 +293,7 @@ def trace_edge_maps(vert, horiz):
         if i != start:
             lo, k = start, 0
         codes = np.frombuffer(dirs[k:] + dirs[:k], np.uint8)
-        rest = _RELATIVE[(codes[1:] - codes[:-1]) & 3].tobytes().decode()
+        rest = _RELATIVE_CODES[(codes[1:] - codes[:-1]) & 3].tobytes().decode()
         if "?" in rest:
             raise ValueError("doubling back")
         return Contour(divmod(lo, w1), ABSOLUTE[codes[0]], rest)

@@ -1,9 +1,10 @@
 """8-bit image I/O (binary PGM/PPM) and synthetic stereo test scenes.
 
 Depth images are treated directly as disparity maps (Middlebury convention):
-larger values mean closer surfaces.  The pixel shift used for warping is
-``round(alpha * value * value_scale)``, so an 8-bit depth value maps to a
-sub-pixel-scaled disparity via the scene/config ``value_scale``.
+larger values mean closer surfaces.  The pixel shift is ``pixel_shift``,
+``alpha * value * value_scale`` rounded half to even, so an 8-bit depth value
+maps to a sub-pixel-scaled disparity via the scene/config ``value_scale``.
+The scene renderer and DIBR warping (``augment._warp``) both shift by it.
 
 The synthetic scene generator renders any in-between viewpoint analytically
 from a shared texture canvas, so the right view equals the left view warped
@@ -173,8 +174,8 @@ class SceneSpec:
             raise ValueError("zero-size image")
         if not 0 <= self.bg_value < self.fg_min <= self.fg_max <= 255:
             raise ValueError("need 0 <= bg_value < fg_min <= fg_max <= 255")
-        if self.jitter < 0 or self.margin < 0:
-            raise ValueError("jitter and margin must be >= 0")
+        if self.shapes < 0 or self.jitter < 0 or self.margin < 0:
+            raise ValueError("shapes, jitter and margin must be >= 0")
         if not 0 < self.value_scale < math.inf:
             raise ValueError("value_scale must be finite and > 0")
         if self.min_size > self.max_size:
@@ -229,9 +230,10 @@ def parse_scene_spec(text: str) -> SceneSpec:
         raise ValueError(f"scene spec: {exc}") from exc
 
 
-def pixel_shift(value: float, alpha: float, scale: float) -> int:
-    """Horizontal warp shift (pixels) of a sample with the given depth value."""
-    return int(round(alpha * float(value) * scale))
+def pixel_shift(value, alpha: float, scale: float):
+    """Horizontal warp shift (pixels) of a depth value or an array of them, as
+    int64: ``alpha * value * scale`` in float64, rounded half to even."""
+    return np.rint(alpha * np.asarray(value, np.float64) * scale).astype(np.int64)
 
 
 def _box_blur(a: np.ndarray, k: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from contourcodec.augment import (
 from contourcodec.cli import psnr
 from contourcodec.config import PipelineConfig
 from contourcodec.contour import OPPOSITE, detect_contours, to_relative
-from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene, render_scene_view
+from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene, pixel_shift, render_scene_view
 from contourcodec.swim import SwimConfig
 
 
@@ -378,6 +378,23 @@ class TestWarp:
         ok = ~holes2
         diff = back.pixels[ok] != color.pixels[ok]
         assert diff.mean() < 0.02  # occluded sources excepted
+
+    @pytest.mark.parametrize("direction", [-1, 1])
+    @pytest.mark.parametrize("value", [1, 3, 5, 7])
+    def test_one_row_moves_by_pixel_shift(self, value, direction):
+        # at scale 0.5 every shift is a half: 0.5, 1.5, 2.5 and 3.5 pixels
+        w = 12
+        color = np.arange(w * 3, dtype=np.uint8).reshape(1, w, 3)
+        out_d, out_c, valid = _warp(DepthImage(np.full((1, w), value, np.uint8)), ColorImage(color), 1.0, direction, 0.5)
+        cols = np.arange(w) + direction * pixel_shift(value, 1.0, 0.5)
+        inside = (cols >= 0) & (cols < w)
+        want_valid = np.zeros((1, w), bool)
+        want_valid[0, cols[inside]] = True
+        want_color = np.zeros_like(color)
+        want_color[0, cols[inside]] = color[0, inside]
+        assert np.array_equal(valid, want_valid)
+        assert np.array_equal(out_c, want_color)
+        assert np.array_equal(out_d, np.where(want_valid, value, 0))
 
     def test_zbuffer_prefers_larger_disparity(self):
         depth = np.zeros((1, 6), np.uint8)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import format_scene_spec
 from contourcodec.aec import AecParams
+from contourcodec.approx import ApproxConfig
+from contourcodec.augment import StereoResult, ViewResult
 from contourcodec.cli import CSV_HEADER, PSNR_CAP_DB, main, psnr, run_sweep
 from contourcodec.config import PipelineConfig, parse_config
 from contourcodec.contour import parse_contours
@@ -81,11 +83,13 @@ def test_config_misspelled_merge_is_an_error(value):
     (parse_config, "config", "disparity_scale = nan", "disparity_scale"),
     (parse_config, "config", "seed = 4\ndisparity_scale = -3", "disparity_scale"),
     (parse_config, "config", "lambdas = ,", "lambdas"),
+    (parse_config, "config", "seed = -1", "seed"),
     (parse_scene_spec, "scene spec", "width = 64\ntexture = foo", "texture"),
     (parse_scene_spec, "scene spec", "jitter = -1", "jitter"),
     (parse_scene_spec, "scene spec", "value_scale = -0.1", "value_scale"),
     (parse_scene_spec, "scene spec", "width = 64\nvalue_scale = nan", "value_scale"),
     (parse_scene_spec, "scene spec", "margin = -5", "margin"),
+    (parse_scene_spec, "scene spec", "shapes = -1", "shapes"),
 ])
 def test_bad_value_names_file_kind_line_and_key(parse, kind, text, key):
     lineno = text.count("\n") + 1
@@ -118,9 +122,15 @@ def test_scene_spec_jitter_bound_is_checked_on_the_whole_spec():
 def test_config_defaults_match_module_defaults():
     cfg = PipelineConfig()
     assert cfg.aec_params() == AecParams()
-    assert cfg.swim_config().block == 16 and cfg.swim_config().window == 10
+    assert cfg.swim_config() == SwimConfig()
+    assert cfg.approx_config(0.0) == ApproxConfig()
     assert cfg.approx_config(2.0).lagrange == 2.0
-    assert cfg.approx_config(0.0).interview_weight == 1e6
+
+
+def test_sweep_rejects_a_negative_seed(tmp_path):
+    (tmp_path / "scene.cfg").write_text("width = 64\nheight = 64\n")
+    with pytest.raises(ValueError, match="seed"):
+        main(["sweep", "--scene", str(tmp_path / "scene.cfg"), "--seed", "-3", "--lambdas", "0"])
 
 
 def test_detect_counts_flat_image(tmp_path, capsys):
@@ -509,6 +519,30 @@ class TestSweepScoresEachPairOnce:
         lines = run_sweep(left, left, PipelineConfig(), (0.0,), 0.1, timing=False).splitlines()
         assert lines[1].split(",")[3] == "nan"
         assert "smaller than one block" in capsys.readouterr().err
+
+
+def test_pairs_that_share_the_left_view_are_told_apart_by_the_right(monkeypatch):
+    """Each lambda's pair keeps the input left view and inverts three rows of
+    the right color view, rows 10k..10k+2 at lambda k: lambda 0 is the input
+    pair, and lambdas 1 and 2 are two new pairs, each scored."""
+    import contourcodec.cli as cli_mod
+
+    def right_rows_inverted(left, right, cfg, **kwargs):
+        color = right[1].pixels.copy()
+        if cfg.lagrange:
+            rows = slice(10 * int(cfg.lagrange), 10 * int(cfg.lagrange) + 3)
+            color[rows] = 255 - color[rows]
+        views = (left, (right[0], ColorImage(color)))
+        return StereoResult(*(ViewResult(d, c, [], [], [], 0.0) for d, c in views))
+
+    monkeypatch.setattr(cli_mod, "approximate_stereo", right_rows_inverted)
+    calls = count_scoring_calls(monkeypatch)
+    left, right = make_synthetic_scene(2, SceneSpec(width=64, height=48, shapes=1))
+    lines = run_sweep(left, right, PipelineConfig(), (0.0, 1.0, 2.0), 0.1, timing=False).splitlines()
+    scores = [line.split(",")[3:6] for line in lines[1:]]
+    assert scores[0] == ["0", "1", "99"]
+    assert len({tuple(row) for row in scores}) == 3
+    assert calls == {"synthesize_view": 3 + 3 + 3, "swim_score": 3 + 3}
 
 
 def test_sweep_synthesizes_changed_rows_and_scores_changed_strips(monkeypatch):

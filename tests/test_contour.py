@@ -203,8 +203,16 @@ def test_to_relative_examples():
 
 
 def test_doubling_back_rejected():
-    with pytest.raises(ValueError, match="doubling back"):
-        to_relative((0, 0), ["E", "W"])
+    # the reversal as the first, a middle and the last pair
+    for dirs in ("EWWS", "ESNE", "SSEW"):
+        with pytest.raises(ValueError, match="doubling back"):
+            to_relative((0, 0), dirs)
+
+
+@pytest.mark.parametrize("prev, nxt", [(a, b) for a in ABSOLUTE for b in ABSOLUTE if b != OPPOSITE[a]])
+def test_turn_inverts_to_relative(prev, nxt):
+    rel = to_relative((0, 0), [prev, nxt]).rest
+    assert turn(prev, rel) == nxt
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 120))
@@ -226,6 +234,53 @@ def test_split_two_direction_contour_is_one_segment():
     assert len(segs) == 1
     assert segs[0].length == 4 and segs[0].vertical_count == 2
     assert segs[0].dirpair == ("S", "E")
+
+
+def reference_split(contour: Contour) -> list:
+    """The split as a state machine: track the one vertical and the one
+    horizontal direction of the open segment, and close it at the first step
+    whose axis already holds the other direction."""
+    dirs = contour.absolute_dirs()
+    pts = contour.points()
+    segments = []
+    seg_start = 0
+    vert = horiz = None
+    for i, d in enumerate(dirs):
+        axis_vertical = d in "SN"
+        current = vert if axis_vertical else horiz
+        if current is not None and current != d:
+            segments.append(Segment(pts[seg_start], (vert or "S", horiz or "E"), "".join(dirs[seg_start:i])))
+            seg_start = i
+            vert = horiz = None
+        if axis_vertical:
+            vert = d
+        else:
+            horiz = d
+    segments.append(Segment(pts[seg_start], (vert or "S", horiz or "E"), "".join(dirs[seg_start:])))
+    return segments
+
+
+@st.composite
+def straight_run_chains(draw):
+    """Chains of 1..150 steps from any start direction, built from straight
+    runs, so that one-axis segments of every direction occur."""
+    length = draw(st.integers(1, 150))
+    dirs = [draw(st.sampled_from(ABSOLUTE))]
+    while len(dirs) < length:
+        d = draw(st.sampled_from([d for d in ABSOLUTE if d != OPPOSITE[dirs[-1]]]))
+        dirs += d * draw(st.integers(1, 12))
+    return to_relative((40, 40), dirs[:length])
+
+
+@given(straight_run_chains())
+@settings(max_examples=300)
+@example(to_relative((0, 0), "S"))
+@example(to_relative((0, 0), "NNNEESSS"))
+@example(to_relative((0, 0), "EEEESSWWW"))
+@example(to_relative((0, 0), "WWNNNEEE"))
+@example(to_relative((0, 0), "SSWNNN"))
+def test_split_equals_reference_state_machine(contour):
+    assert split_segments(contour) == reference_split(contour)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150))

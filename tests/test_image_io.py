@@ -137,6 +137,13 @@ def test_every_texture_style_renders(texture):
     assert detect_contours(depth, 30)
 
 
+def test_pixel_shift_rounds_half_to_even_on_arrays_and_scalars():
+    values = [1, 3, 5, 7]
+    shifts = pixel_shift(np.array(values, np.uint8), 1.0, 0.5)
+    assert shifts.dtype == np.int64 and shifts.tolist() == [0, 2, 2, 4]
+    assert [pixel_shift(v, 1.0, 0.5) for v in values] == [0, 2, 2, 4]
+
+
 def test_warp_correspondence_invariant():
     """Left disparity warped to the right view lands on equal disparity."""
     spec = SceneSpec(width=112, height=96, shapes=2, jitter=1)
