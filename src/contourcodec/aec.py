@@ -368,8 +368,5 @@ def decode(data: bytes, params: AecParams):
             rel = "lsr"[dec.decode(model[recent][1], _FREQ_TOTAL)]
             rest.append(rel)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
-        contour = Contour(start, first, "".join(rest))
-        if len(contour.rest) != nsyms:
-            raise BitstreamError("symbol count mismatch")
-        contours.append(contour)
+        contours.append(Contour(start, first, "".join(rest)))
     return contours

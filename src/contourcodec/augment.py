@@ -30,23 +30,6 @@ from .swim import RowProxy
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
-class ChangeMask:
-    """Per-pixel flip record: flags marks the pixels that changed side; side
-    is the new-side parity map used to pick donors."""
-
-    flags: np.ndarray  # bool
-    side: np.ndarray  # uint8 parity under the approximated contour
-
-    def __post_init__(self):
-        if self.flags.shape != self.side.shape:
-            raise ValueError(f"flags of shape {self.flags.shape} and side of shape {self.side.shape} differ")
-
-    @property
-    def empty(self) -> bool:
-        return not self.flags.any()
-
-
 def side_parity(contour: Contour, height: int, width: int) -> np.ndarray:
     """Per-pixel parity of the number of contour vertical edges at or left of
     the pixel's column, row by row; raises ValueError for a contour that
@@ -68,7 +51,8 @@ def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):
     right, then the same column, up before down.  A pixel without a donor
     keeps its value, and a warning is logged.
 
-    Returns (augmented DepthImage, ChangeMask).
+    Returns (augmented DepthImage, flips, side): the bool map of the pixels
+    that changed side and the uint8 side parity under the approximated contour.
     """
     if original.start != approximated.start or original.end != approximated.end:
         raise ValueError("contour endpoint mismatch")
@@ -88,15 +72,17 @@ def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):
             logger.warning("no donor found for flipped pixel (%d, %d); value kept", r, c)
         else:
             out[r, c] = depth.pixels[donor]
-    return DepthImage(out), ChangeMask(changed, side_a)
+    return DepthImage(out), changed, side_a
 
 
-def augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
+def augment_color(color: ColorImage, flips: np.ndarray, side: np.ndarray) -> ColorImage:
     """Re-fill flipped pixels from their new side only.
 
-    Flipped pixels become holes; every pass fills each hole that has at least
-    one non-hole 4-neighbour on the same (new) side with the average of those
-    donors, summed below, above, right, left, until no hole remains.
+    ``flips`` and ``side`` are the maps ``augment_depth`` returns; unless
+    both have the image's (h, w), a ValueError is raised.  Flipped pixels
+    become holes; every pass fills each hole that has at least one non-hole
+    4-neighbour on the same (new) side with the average of those donors,
+    summed below, above, right, left, until no hole remains.
     Unreachable holes fall back to any neighbour and are logged.
 
     The passes run on the holes' bounding box grown by one pixel, which holds
@@ -104,16 +90,16 @@ def augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
     holes.  The frame stands for the image border; inside the image it
     touches only the box's edge pixels, which are never holes.
     """
-    if mask.flags.shape != color.pixels.shape[:2]:
-        raise ValueError("mask dimensions do not match the color image")
+    if not flips.shape == side.shape == color.pixels.shape[:2]:
+        raise ValueError(f"flips of shape {flips.shape} and side of shape {side.shape} do not match the color image's {color.pixels.shape[:2]}")
     out = color.pixels.copy()
-    rows, cols = np.nonzero(mask.flags)
+    rows, cols = np.nonzero(flips)
     if rows.size == 0:
         return ColorImage(out)
     box = np.s_[max(rows.min() - 1, 0) : rows.max() + 2, max(cols.min() - 1, 0) : cols.max() + 2]
     work = np.pad(color.pixels[box].astype(np.float64), ((1, 1), (1, 1), (0, 0)))
-    holes = np.pad(mask.flags[box], 1, constant_values=True)
-    side = np.pad(mask.side[box], 1)
+    holes = np.pad(flips[box], 1, constant_values=True)
+    side = np.pad(side[box], 1)
     inner = np.s_[1:-1, 1:-1]
     around = (np.s_[2:, 1:-1], np.s_[:-2, 1:-1], np.s_[1:-1, 2:], np.s_[1:-1, :-2])  # below, above, right, left
 
@@ -147,10 +133,10 @@ def augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
 # ---------------------------------------------------------------------------
 
 
-def _warp(depth: DepthImage, color: ColorImage | None, alpha: float, direction: int, scale: float):
-    """Warp depth (and optionally color) by per-pixel disparity.
+def _warp(depth: DepthImage, color: ColorImage, alpha: float, direction: int, scale: float):
+    """Warp depth and color by per-pixel disparity.
 
-    Returns (warped depth values, warped color or None, valid mask).
+    Returns (warped depth values, warped color values, valid mask).
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be -1 or +1")
@@ -174,14 +160,11 @@ def _warp(depth: DepthImage, color: ColorImage | None, alpha: float, direction: 
     valid = np.zeros(h * w, bool)
     out_d[tgt] = d.ravel()[src]
     valid[tgt] = True
-    out_c = None
-    if color is not None:
-        # one 3-byte item per pixel: a pixel moves as one copy, not three
-        pix = np.ascontiguousarray(color.pixels).reshape(h * w, 3).view("V3")
-        out_c = np.zeros((h * w, 1), pix.dtype)
-        out_c[tgt] = pix[src]
-        out_c = out_c.view(np.uint8).reshape(h, w, 3)
-    return out_d.reshape(h, w), out_c, valid.reshape(h, w)
+    # one 3-byte item per pixel: a pixel moves as one copy, not three
+    pix = np.ascontiguousarray(color.pixels).reshape(h * w, 3).view("V3")
+    out_c = np.zeros((h * w, 1), pix.dtype)
+    out_c[tgt] = pix[src]
+    return out_d.reshape(h, w), out_c.view(np.uint8).reshape(h, w, 3), valid.reshape(h, w)
 
 
 def _fill_holes_row(colors: np.ndarray, disp: np.ndarray, valid: np.ndarray) -> None:
@@ -213,7 +196,7 @@ def _check_sizes(left, right) -> None:
         raise ValueError("stereo images differ in size: left depth {}, left color {}, right depth {}, right color {}".format(*shapes))
 
 
-def synthesize_view(left, right, alpha: float, scale: float = 1.0) -> ColorImage:
+def synthesize_view(left, right, alpha: float, scale: float) -> ColorImage:
     """Blend forward-warped left and backward-warped right views at position
     ``alpha`` in [0, 1]; leftover holes are filled by horizontal propagation
     from the background side."""
@@ -268,14 +251,14 @@ def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, t
     for c in contours:
         ac, cost = approximate_contour(c, RowProxy(out_c, cfg.swim, weight), cfg)
         if ac != c:
-            out_d, mask = augment_depth(out_d, c, ac)
-            out_c = augment_color(out_c, mask)
+            out_d, flips, side = augment_depth(out_d, c, ac)
+            out_c = augment_color(out_c, flips, side)
         approximated.append(ac)
         costs.append(cost)
     return ViewResult(out_d, out_c, contours, approximated, costs, detect_s)
 
 
-def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int = 30, scale: float = 1.0) -> StereoResult:
+def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int, scale: float) -> StereoResult:
     """Approximate both views consistently.
 
     The left view is approximated and augmented first; its augmented pair is

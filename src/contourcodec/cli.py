@@ -165,9 +165,7 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
     for lam in lambdas:
         try:
             t0 = time.perf_counter()
-            stereo = approximate_stereo(
-                left, right, cfg.approx_config(lam), threshold=cfg.threshold, scale=scale
-            )
+            stereo = approximate_stereo(left, right, cfg.approx_config(lam), threshold=cfg.threshold, scale=scale)
             t1 = time.perf_counter()
             bits = 8 * (
                 len(aec.encode(stereo.left.contours, cfg.aec_params()))

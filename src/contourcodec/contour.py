@@ -157,14 +157,13 @@ def split_segments(contour: Contour) -> list:
     """Split into maximal two-direction runs; corner edges stay with the
     earlier segment (maximal-prefix rule)."""
     dirs = "".join(contour.absolute_dirs())
-    pts = contour.points()
     segments = []
-    i = 0
+    start, i = contour.start, 0
     while i < len(dirs):
         ends = [run.match(dirs, i).end() for _, run in _RUNS]
         end = max(ends)
-        segments.append(Segment(pts[i], _RUNS[ends.index(end)][0], dirs[i:end]))
-        i = end
+        segments.append(Segment(start, _RUNS[ends.index(end)][0], dirs[i:end]))
+        start, i = segment_endpoint(segments[-1]), end
     return segments
 
 
@@ -186,8 +185,8 @@ def segment_vertical_columns(seg: Segment) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def edge_maps(depth, threshold: int = 30):
-    """Boolean crack-edge maps of a depth image.
+def edge_maps(depth, threshold: int):
+    """Boolean crack-edge maps of a depth image or a 2-D array of [0, 255] samples.
 
     Returns (vert, horiz): vert[r, c] marks the crack between pixels
     (r, c-1) and (r, c) and has shape (h, w+1); horiz[r, c] marks the crack
@@ -199,7 +198,9 @@ def edge_maps(depth, threshold: int = 30):
     pix = depth.pixels if isinstance(depth, DepthImage) else np.asarray(depth)
     if pix.ndim != 2:
         raise ValueError(f"depth must be a 2-D array, got shape {pix.shape}")
-    a = pix.astype(np.int32)
+    if pix.dtype != np.uint8:
+        pix = DepthImage(pix).pixels
+    a = pix.astype(np.int16)  # exact differences of 8-bit samples
     h, w = a.shape
     vert = np.zeros((h, w + 1), bool)
     horiz = np.zeros((h + 1, w), bool)
@@ -305,7 +306,7 @@ def trace_edge_maps(vert, horiz):
     return contours
 
 
-def detect_contours(depth, threshold: int = 30):
+def detect_contours(depth, threshold: int):
     """Detect object contours of a depth image as crack chains."""
     vert, horiz = edge_maps(depth, threshold)
     return trace_edge_maps(vert, horiz)

@@ -284,6 +284,28 @@ class TestCodec:
         other = decode(data, AecParams(kappa=0.3, omega=4.0))
         assert other[0].start == c.start and len(other[0]) == len(c)
 
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200)
+    def test_corrupt_payload_decodes_to_the_header_counts_or_fails(self, seed, edits):
+        """Overwriting bytes after the contour headers, terminator included,
+        either decodes contours of the lengths the headers announce or
+        raises BitstreamError."""
+        rng = np.random.default_rng(seed)
+        contours = [random_contour(rng, int(n)) for n in rng.integers(1, 80, size=int(rng.integers(1, 4)))]
+        params = AecParams()
+        data = bytearray(encode(contours, params))
+        payload_start = len(data) - payload_bits(bytes(data)) // 8 - 1
+        for pos, value in edits:
+            data[payload_start + pos % (len(data) - payload_start)] = value
+        try:
+            decoded = decode(bytes(data), params)
+        except BitstreamError:
+            return
+        assert [(c.start, c.first, len(c)) for c in decoded] == [(c.start, c.first, len(c)) for c in contours]
+
 
 class ReferenceRangeEncoder:
     """The former encoder, kept as the reference: the full ``low`` as one

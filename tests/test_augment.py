@@ -11,7 +11,6 @@ from contourcodec import augment
 from contourcodec.aec import AecParams, estimate_rate
 from contourcodec.approx import ApproxConfig, approximate_contour
 from contourcodec.augment import (
-    ChangeMask,
     _fill_holes_row,
     _warp,
     approximate_stereo,
@@ -30,7 +29,7 @@ from contourcodec.swim import SwimConfig
 
 def warp_depth(depth: DepthImage, alpha: float, direction: int, scale: float = 1.0):
     """Forward-warp the depth map itself. Returns (DepthImage, hole mask)."""
-    out_d, _, valid = _warp(depth, None, alpha, direction, scale)
+    out_d, _, valid = _warp(depth, ColorImage(np.zeros(depth.pixels.shape + (3,), np.uint8)), alpha, direction, scale)
     return DepthImage(out_d), ~valid
 
 
@@ -57,23 +56,23 @@ def fig_case():
 class TestAugmentDepth:
     def test_identity_when_unchanged(self):
         depth, orig, _ = fig_case()
-        out, mask = augment_depth(depth, orig, orig)
-        assert out == depth and mask.empty
+        out, flips, _ = augment_depth(depth, orig, orig)
+        assert out == depth and not flips.any()
 
     def test_corner_pixel_flips_to_background(self):
         depth, orig, appr = fig_case()
-        out, mask = augment_depth(depth, orig, appr)
-        assert np.argwhere(mask.flags != 0).tolist() == [[2, 2]]
+        out, flips, _ = augment_depth(depth, orig, appr)
+        assert np.argwhere(flips).tolist() == [[2, 2]]
         assert out.pixels[2, 2] == 50
 
     def test_redetection_yields_approximated_contour(self):
         depth, orig, appr = fig_case()
-        out, _ = augment_depth(depth, orig, appr)
+        out, _, _ = augment_depth(depth, orig, appr)
         assert detect_contours(out, 50) == [appr]
 
     def test_only_side_flips_change(self):
         depth, orig, appr = fig_case()
-        out, mask = augment_depth(depth, orig, appr)
+        out, _, _ = augment_depth(depth, orig, appr)
         flips = side_parity(orig, 8, 8) != side_parity(appr, 8, 8)
         changed = out.pixels != depth.pixels
         assert np.all(changed <= flips)
@@ -102,34 +101,35 @@ class TestAugmentDepth:
         depth = DepthImage(np.array([[10, 20], [30, 40]], np.uint8))
         original, approximated = to_relative((0, 0), "ESWN"), to_relative((0, 0), "EESSWWNN")
         with caplog.at_level("WARNING", logger="contourcodec.augment"):
-            out, mask = augment_depth(depth, original, approximated)
-        assert mask.flags.tolist() == [[False, True], [True, True]]
+            out, flips, _ = augment_depth(depth, original, approximated)
+        assert flips.tolist() == [[False, True], [True, True]]
         assert out.pixels.tolist() == [[10, 10], [10, 40]]
         assert caplog.messages == ["no donor found for flipped pixel (1, 1); value kept"]
 
-    @pytest.mark.parametrize("side_shape", [(1, 5), (4, 1), (5, 4)])
-    def test_change_mask_rejects_side_of_another_shape(self, side_shape):
-        with pytest.raises(ValueError, match=r"flags of shape \(4, 5\) and side of shape"):
-            ChangeMask(np.zeros((4, 5), bool), np.zeros(side_shape, np.uint8))
-
 
 class TestAugmentColor:
+    @pytest.mark.parametrize("side_shape", [(1, 5), (4, 1), (5, 4)])
+    def test_rejects_side_of_another_shape(self, side_shape):
+        color = ColorImage(np.zeros((4, 5, 3), np.uint8))
+        with pytest.raises(ValueError, match=r"flips of shape \(4, 5\) and side of shape"):
+            augment_color(color, np.zeros((4, 5), bool), np.zeros(side_shape, np.uint8))
+
     def test_empty_mask_identity(self, rng):
         depth, orig, _ = fig_case()
         color = textured_color(rng, 8, 8)
-        _, mask = augment_depth(depth, orig, orig)
-        assert augment_color(color, mask) == color
+        _, flips, side = augment_depth(depth, orig, orig)
+        assert augment_color(color, flips, side) == color
 
     def test_uniform_background_donor(self):
         depth, orig, appr = fig_case()
-        _, mask = augment_depth(depth, orig, appr)
+        _, flips, side = augment_depth(depth, orig, appr)
         pix = np.zeros((8, 8, 3), np.uint8)
         for r, b in enumerate([4, 4, 3, 2, 2, 2, 2, 2]):
             pix[r, :b] = (200, 100, 10)
             pix[r, b:] = (10, 20, 30)
-        out = augment_color(ColorImage(pix), mask)
+        out = augment_color(ColorImage(pix), flips, side)
         assert out.pixels[2, 2].tolist() == [10, 20, 30]
-        untouched = mask.flags == 0
+        untouched = ~flips
         assert np.array_equal(out.pixels[untouched], pix[untouched])
 
     def test_fill_stays_in_donor_range(self, rng):
@@ -138,9 +138,8 @@ class TestAugmentColor:
         cfg = ApproxConfig(lagrange=20.0, aec=AecParams(), swim=SwimConfig())
         for contour in detect_contours(depth, 30):
             approx, _ = approximate_contour(contour, color, cfg)
-            newd, mask = augment_depth(depth, contour, approx)
-            filled = augment_color(color, mask)
-            holes = mask.flags != 0
+            newd, holes, side = augment_depth(depth, contour, approx)
+            filled = augment_color(color, holes, side)
             if not holes.any():
                 continue
             for ch in range(3):
@@ -154,8 +153,8 @@ class TestAugmentColor:
         color = ColorImage(np.array([[[10] * 3, [99] * 3, [31] * 3]], np.uint8))
         with caplog.at_level("WARNING", logger="contourcodec.augment"):
             # the hole's neighbours both lie on the other side
-            mixed = augment_color(color, ChangeMask(np.array([[False, True, False]]), np.array([[0, 1, 0]], np.uint8)))
-            alone = augment_color(color, ChangeMask(np.ones((1, 3), bool), np.zeros((1, 3), np.uint8)))
+            mixed = augment_color(color, np.array([[False, True, False]]), np.array([[0, 1, 0]], np.uint8))
+            alone = augment_color(color, np.ones((1, 3), bool), np.zeros((1, 3), np.uint8))
         assert mixed.pixels[0, 1].tolist() == [20] * 3  # rint(20.5): to even
         assert alone == color
         assert caplog.messages == [
@@ -172,11 +171,11 @@ class TestAugmentColor:
         color = ColorImage(np.full((h, w, 3), 7, np.uint8))
         flags = np.zeros((h, w), bool)
         flags[corner[0] : corner[0] + 3, corner[1] : corner[1] + 3] = True
-        mask = ChangeMask(flags, np.zeros((h, w), np.uint8))
+        side = np.zeros((h, w), np.uint8)
         budget = 2 * color.pixels.nbytes
         tracemalloc.start()
         try:
-            out = augment_color(color, mask)
+            out = augment_color(color, flags, side)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -217,16 +216,15 @@ def _reference_augment_depth(depth: DepthImage, original, approximated):
             logger.warning("no donor found for flipped pixel (%d, %d); value kept", r, c)
             value = depth.pixels[r, c]
         out[r, c] = value
-    return DepthImage(out), ChangeMask(changed, side_a)
+    return DepthImage(out), changed, side_a
 
 
-def _reference_augment_color(color: ColorImage, mask: ChangeMask) -> ColorImage:
+def _reference_augment_color(color: ColorImage, flips, side) -> ColorImage:
     """Every pass rolls the whole image four ways and masks the wrap-around."""
-    if mask.flags.shape != color.pixels.shape[:2]:
-        raise ValueError("mask dimensions do not match the color image")
+    if not flips.shape == side.shape == color.pixels.shape[:2]:
+        raise ValueError("flips and side do not match the color image")
     work = color.pixels.astype(np.float64)
-    holes = mask.flags
-    side = mask.side
+    holes = flips
 
     def fill_pass(require_side: bool) -> bool:
         nonlocal holes
@@ -311,14 +309,14 @@ class TestAugmentAgainstReference:
         for edge in edges:
             flags[{"top": np.s_[0], "bottom": np.s_[-1], "left": np.s_[:, 0], "right": np.s_[:, -1]}[edge]] = True
         # random sides leave holes with no same-side donor: the fallback fires
-        mask = ChangeMask(flags, rng.integers(0, side_levels, shape).astype(np.uint8))
+        side = rng.integers(0, side_levels, shape).astype(np.uint8)
         color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8))
-        inputs = [a.copy() for a in (color.pixels, mask.flags, mask.side)]
-        expected, expected_log = logged(_reference_augment_color, color, mask)
-        got, got_log = logged(augment_color, color, mask)
+        inputs = [a.copy() for a in (color.pixels, flags, side)]
+        expected, expected_log = logged(_reference_augment_color, color, flags, side)
+        got, got_log = logged(augment_color, color, flags, side)
         assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, expected.pixels)
         assert got_log == expected_log
-        assert all(np.array_equal(a, b) for a, b in zip(inputs, (color.pixels, mask.flags, mask.side)))
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, (color.pixels, flags, side)))
 
     @given(
         seed=st.integers(0, 2 ** 32 - 1),
@@ -337,10 +335,10 @@ class TestAugmentAgainstReference:
             approximated = rerouted(original, rng, *shape)
             if approximated is None:
                 continue
-            (want, want_mask), want_log = logged(_reference_augment_depth, depth, original, approximated)
-            (got, got_mask), got_log = logged(augment_depth, depth, original, approximated)
-            assert np.array_equal(got.pixels, want.pixels)
-            assert np.array_equal(got_mask.flags, want_mask.flags) and np.array_equal(got_mask.side, want_mask.side)
+            want, want_log = logged(_reference_augment_depth, depth, original, approximated)
+            got, got_log = logged(augment_depth, depth, original, approximated)
+            assert np.array_equal(got[0].pixels, want[0].pixels)
+            assert all(np.array_equal(g, e) for g, e in zip(got[1:], want[1:]))
             assert got_log == want_log
         assert np.array_equal(depth.pixels, pixels)
 
@@ -423,12 +421,9 @@ def _reference_warp(depth, color, alpha, direction, scale):
     valid = np.zeros(h * w, bool)
     out_d[tgt] = disp[order]
     valid[tgt] = True
-    out_c = None
-    if color is not None:
-        out_c = np.zeros((h * w, 3), color.pixels.dtype)
-        out_c[tgt] = color.pixels[inside][order]
-        out_c = out_c.reshape(h, w, 3)
-    return out_d.reshape(h, w), out_c, valid.reshape(h, w)
+    out_c = np.zeros((h * w, 3), color.pixels.dtype)
+    out_c[tgt] = color.pixels[inside][order]
+    return out_d.reshape(h, w), out_c.reshape(h, w, 3), valid.reshape(h, w)
 
 
 def _reference_fill_holes_row(colors, disp, valid):
@@ -479,20 +474,16 @@ class TestAgainstLoops:
         alpha=st.floats(0.0, 1.0),
         direction=st.sampled_from([-1, 1]),
         scale=st.sampled_from([0.05, 0.1, 0.25, 1.0]),
-        with_color=st.booleans(),
     )
     @settings(max_examples=150)
-    def test_warp(self, seed, shape, levels, alpha, direction, scale, with_color):
+    def test_warp(self, seed, shape, levels, alpha, direction, scale):
         rng = np.random.default_rng(seed)
         # few depth levels: many targets receive sources of different disparities
         depth = DepthImage(rng.choice(rng.integers(0, 256, levels), size=shape).astype(np.uint8))
-        color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8)) if with_color else None
+        color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8))
         expected = _reference_warp(depth, color, alpha, direction, scale)
         got = _warp(depth, color, alpha, direction, scale)
         for g, e in zip(got, expected):
-            if e is None:
-                assert g is None
-                continue
             assert g.dtype == e.dtype and np.array_equal(g, e)
 
     @given(

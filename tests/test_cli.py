@@ -375,6 +375,23 @@ def test_sweep_detects_once_per_view_and_times_it(monkeypatch):
     assert all(float(row[name]) >= 0 for name in ("detect_ms", "dp_ms", "code_ms", "synth_ms"))
 
 
+def test_config_threshold_reaches_detection(tmp_path, capsys):
+    """On the README scene a threshold of 200 finds no edge: the sweep codes
+    two empty 7-byte streams and changes no pixel, and ``detect`` reads the
+    config's threshold unless ``--threshold`` overrides it."""
+    spec = SceneSpec(width=128, height=96, jitter=2, texture="noise")
+    left, right = make_synthetic_scene(2, spec)
+    rows = run_sweep(left, right, PipelineConfig(seed=2, threshold=200), (0.0, 8.0), spec.value_scale, timing=False)
+    assert [row.split(",")[1:4:2] for row in rows.splitlines()[1:]] == [["112", "0"]] * 2
+    save_depth(tmp_path / "left.pgm", left[0])
+    (tmp_path / "pipeline.cfg").write_text("threshold = 200\n")
+    detect = ["detect", "--depth", str(tmp_path / "left.pgm"), "--config", str(tmp_path / "pipeline.cfg")]
+    assert main(detect) == 0
+    assert capsys.readouterr().out.startswith("# contours: 0\n")
+    assert main(detect + ["--threshold", "30"]) == 0
+    assert capsys.readouterr().out.startswith("# contours: 2\n")
+
+
 README_SWEEP = Path(__file__).with_name("data") / "sweep_readme.csv"
 
 

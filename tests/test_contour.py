@@ -156,7 +156,14 @@ def test_trace_rejects_edge_maps_of_mismatched_shapes(vert_shape, horiz_shape):
 @pytest.mark.parametrize("shape", [(4, 4, 3), (4,), ()])
 def test_edge_maps_rejects_depth_that_is_not_2d(shape):
     with pytest.raises(ValueError, match="2-D"):
-        edge_maps(np.zeros(shape, np.uint8))
+        edge_maps(np.zeros(shape, np.uint8), 30)
+
+
+@pytest.mark.parametrize("pixels", [[[0, 2 ** 32]], [[-5, 0]]])
+def test_edge_maps_rejects_samples_outside_8_bits(pixels):
+    # 2**32 would wrap to 0 in a 32-bit cast and hide the step
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        edge_maps(np.array(pixels, np.int64), 1)
 
 
 def test_invalid_symbols_rejected():
@@ -355,7 +362,7 @@ def test_cracks_of_a_chain_index_into_edge_maps(seed, length):
     q0 = min(q for _, q in pts)
     h = max(p for p, _ in pts) - p0
     w = max(q for _, q in pts) - q0
-    vert, horiz = edge_maps(np.zeros((h, w), np.uint8))
+    vert, horiz = edge_maps(np.zeros((h, w), np.uint8), 30)
     found = list(cracks((c.start[0] - p0, c.start[1] - q0), c.absolute_dirs()))
     assert len(found) == len(c)
     for vertical, row, col in found:

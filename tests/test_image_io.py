@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import format_scene_spec
 from contourcodec.contour import detect_contours
@@ -69,6 +74,66 @@ def test_color_save_load_roundtrip(tmp_path, rng):
     img = ColorImage(rng.integers(0, 256, size=(5, 9, 3), dtype=np.uint8))
     save_color(tmp_path / "r.ppm", img)
     assert load_color(tmp_path / "r.ppm") == img
+
+
+# the binary PNM header: magic, then width, height and maxval, each token
+# after any run of whitespace and '#' comments, then one whitespace byte
+_SEP = rb"(?:\s|#[^\n]*(?![^\n])\n?)*"
+_TOKEN = rb"([^\s#]+)(?![^\s#])"
+_PNM_HEADER = re.compile(rb"(P[56])" + (_SEP + _TOKEN) * 3 + rb"\s")
+
+
+def expected_pnm(data: bytes, cls):
+    """The image a valid file holds, or None where the loader must raise
+    ImageFormatError."""
+    m = _PNM_HEADER.match(data)
+    if m is None or m[1] != cls._magic:
+        return None
+    try:
+        width, height, maxval = (int(t) for t in m.groups()[1:])
+    except ValueError:
+        return None
+    shape = (height, width) + cls._channels
+    if width <= 0 or height <= 0 or maxval != 255 or len(data) - m.end() < math.prod(shape):
+        return None
+    return cls(np.frombuffer(data, np.uint8, math.prod(shape), m.end()).reshape(shape))
+
+
+_PNM_BYTE = st.one_of(st.sampled_from(list(b" \t\n#+-_0123456789P56")), st.integers(0, 255))
+
+
+@given(
+    color=st.booleans(),
+    size=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["insert", "delete", "overwrite"]), st.integers(0, 2 ** 16), _PNM_BYTE),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=300)
+def test_corrupt_pnm_loads_its_header_image_or_fails(tmp_path_factory, color, size, edits):
+    """Inserting, deleting or overwriting bytes of a valid P5/P6 file gives
+    either the image its header describes or ImageFormatError."""
+    cls, save, load = (ColorImage, save_color, load_color) if color else (DepthImage, save_depth, load_depth)
+    path = tmp_path_factory.getbasetemp() / ("fuzz.ppm" if color else "fuzz.pgm")
+    save(path, cls(np.random.default_rng(size).integers(0, 256, size + cls._channels, dtype=np.uint8)))
+    data = bytearray(path.read_bytes())
+    for op, pos, value in edits:
+        pos %= len(data) + (op == "insert")
+        if op == "insert":
+            data.insert(pos, value)
+        elif op == "delete":
+            del data[pos]
+        else:
+            data[pos] = value
+    path.write_bytes(data)
+    want = expected_pnm(bytes(data), cls)
+    if want is None:
+        with pytest.raises(ImageFormatError):
+            load(path)
+    else:
+        assert load(path) == want
 
 
 def test_sample_range_validation():
