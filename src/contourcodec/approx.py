@@ -291,7 +291,7 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
         return None
     projected, shifts = projection
     merge_d = sum(proxy.edge_costs(row, q_orig, (q_proj,))[0] for row, q_orig, q_proj in shifts)
-    if math.isinf(merge_d):
+    if merge_d >= cost_a.total + cost_b.total:  # every DP cost is >= 0, so the merge cannot win
         return None
     try:
         mseg, mcost = approximate_segment(

@@ -10,7 +10,9 @@ hole filled by constrained neighbour propagation (background holes only ever
 read background donors, and symmetrically).
 
 Warping treats depth values as scaled disparities; larger disparity wins the
-z-buffer, ties go to the rightmost source pixel.
+z-buffer, ties go to the rightmost source pixel.  Targets collide only within
+a row, so one key ordered by depth, then by flat source index, states the
+rule; a target that leaves its row lands in a spare slot no pixel reads.
 """
 
 from __future__ import annotations
@@ -136,35 +138,32 @@ def augment_color(color: ColorImage, flips: np.ndarray, side: np.ndarray) -> Col
 def _warp(depth: DepthImage, color: ColorImage, alpha: float, direction: int, scale: float):
     """Warp depth and color by per-pixel disparity.
 
+    Pixel ``i = row * w + col`` targets pixel ``i + direction * shift`` of
+    its row; a target outside the row goes to the spare slot ``n = h * w``.
+    One z-buffer pass keeps, per target, the largest key
+    ``depth * (n + 1) + i + 1``.  Counting sources from 1 leaves 0 for a
+    target nothing reaches: it divides to depth 0 and source 0, the zero
+    color item placed before the pixels.
+
     Returns (warped depth values, warped color values, valid mask).
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be -1 or +1")
     d = depth.pixels
     h, w = d.shape
-    cols = np.arange(w)[None, :] + direction * pixel_shift(d, alpha, scale)
-    inside = (cols >= 0) & (cols < w)
-
-    src_r, src_c = np.nonzero(inside)
-    tgt = src_r * w + cols[inside]
-    # z-buffer: the key orders by disparity, then source column; each target
-    # keeps the one write whose key is its maximum
-    key = d[inside].astype(np.int64) * w + src_c
-    best = np.full(h * w, np.iinfo(np.int64).min)
-    np.maximum.at(best, tgt, key)
-    win = key == best[tgt]
-    src = (src_r * w + src_c)[win]
-    tgt = tgt[win]
-
-    out_d = np.zeros(h * w, d.dtype)
-    valid = np.zeros(h * w, bool)
-    out_d[tgt] = d.ravel()[src]
-    valid[tgt] = True
+    n = h * w
+    shift = np.take(direction * pixel_shift(np.arange(256), alpha, scale), d)
+    cols = np.arange(w) + shift
+    tgt = np.where((cols >= 0) & (cols < w), cols + np.arange(0, n, w)[:, None], n)
+    key = d * np.int64(n + 1) + np.arange(1, n + 1).reshape(h, w)
+    best = np.zeros(n + 1, np.int64)
+    np.maximum.at(best, tgt.ravel(), key.ravel())  # 1-D operands take numpy's fast path
+    out_d = best[:n] // (n + 1)
+    src = best[:n] - out_d * (n + 1)
     # one 3-byte item per pixel: a pixel moves as one copy, not three
-    pix = np.ascontiguousarray(color.pixels).reshape(h * w, 3).view("V3")
-    out_c = np.zeros((h * w, 1), pix.dtype)
-    out_c[tgt] = pix[src]
-    return out_d.reshape(h, w), out_c.view(np.uint8).reshape(h, w, 3), valid.reshape(h, w)
+    pix = np.concatenate([np.zeros((1, 3), np.uint8), np.ascontiguousarray(color.pixels).reshape(n, 3)]).view("V3")
+    out_c = np.take(pix[:, 0], src)
+    return out_d.astype(d.dtype).reshape(h, w), out_c.view(np.uint8).reshape(h, w, 3), (src > 0).reshape(h, w)
 
 
 def _fill_holes_row(colors: np.ndarray, disp: np.ndarray, valid: np.ndarray) -> None:
@@ -207,10 +206,15 @@ def synthesize_view(left, right, alpha: float, scale: float) -> ColorImage:
     (rdep, rcol) = right
     dl, cl, vl = _warp(ldep, lcol, alpha, -1, scale)
     dr, cr, vr = _warp(rdep, rcol, 1.0 - alpha, 1, scale)
+    # one mask entry per sample: a mask broadcast along the 3-sample axis
+    # runs numpy's where and copyto several times slower
+    left_lands, both_land = (np.repeat(mask, 3).reshape(cl.shape) for mask in (vl, vl & vr))
     # pixels neither view reaches read the zeros _warp leaves there
-    single = np.where(vl[..., None], cl, cr)
-    out = np.where((vl & vr)[..., None], (1.0 - alpha) * cl + alpha * cr, single)
-    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    out = np.where(left_lands, cl, cr)
+    blend = np.multiply(cl, 1.0 - alpha, dtype=np.float64)
+    blend += np.multiply(cr, alpha, dtype=np.float64)
+    np.clip(np.rint(blend, out=blend), 0, 255, out=blend)
+    np.copyto(out, blend, casting="unsafe", where=both_land)
     disp = np.where(vl, dl, dr)
     _fill_holes_row(out, disp, vl | vr)
     return ColorImage(out)

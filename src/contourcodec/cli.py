@@ -49,10 +49,16 @@ PSNR_CAP_DB = 99.0
 
 
 def psnr(a: ColorImage, b: ColorImage) -> float:
-    """Peak signal-to-noise ratio in dB, capped for identical images."""
+    """Peak signal-to-noise ratio in dB, capped for identical images.
+
+    Squared 8-bit errors are integers and their sum stays below 2^53 for
+    any image under 2^37 samples, so the int64 sum is exact, converts to
+    float64 exactly, and ``sum / size`` is the float64 mean of the squared
+    errors, in any summation order."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError("images must have identical dimensions")
-    mse = float(np.mean((a.pixels.astype(np.float64) - b.pixels.astype(np.float64)) ** 2))
+    diff = a.pixels.astype(np.int32) - b.pixels
+    mse = int(np.square(diff).sum(dtype=np.int64)) / diff.size
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * math.log10(255.0 ** 2 / mse), PSNR_CAP_DB)

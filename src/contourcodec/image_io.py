@@ -100,10 +100,9 @@ def _parse_pnm(data: bytes, magic: bytes):
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise ImageFormatError("malformed header: missing payload separator")
     pos += 1
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ImageFormatError("malformed header: non-numeric field") from exc
+    if not all(t.isdigit() for t in tokens):  # ASCII decimal digits only, as Netpbm allows
+        raise ImageFormatError("malformed header: non-numeric field")
+    width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
         raise ImageFormatError("malformed header: non-positive dimensions")
     if maxval != 255:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import textured_color
+from contourcodec import approx
 from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
     ApproxConfig,
@@ -451,6 +452,30 @@ class TestMerge:
         cfg = small_cfg(0.0)
         res = merge_segments(a, b, (), color, cfg, **pair_costs(a, b, (), color, cfg))
         assert res is None
+
+    @pytest.mark.parametrize("excess, dp_calls", [(0.0, 0), (1e-6, 1)])
+    def test_pair_whose_projection_costs_its_whole_cost_skips_the_dp(self, rng, monkeypatch, excess, dp_calls):
+        """Every DP cost is >= 0, so a merge whose projection alone costs
+        at least the pair's cost cannot win: no segment DP runs and the
+        result is None.  A pair cost just above the projection's runs it."""
+        color = textured_color(rng, 48, 64)
+        a = Segment((16, 20), ("S", "E"), "EEEEEESS")
+        b = Segment((18, 26), ("S", "W"), "WWWWSS")
+        cfg = small_cfg(0.0)
+        proxy = row_proxy(color, cfg.swim)
+        merge_d = sum(proxy.edge_costs(row, qo, (qp,))[0] for row, qo, qp in project_onto_rectangle(a, b)[1])
+        assert 0.0 < merge_d < math.inf
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return approximate_segment(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "approximate_segment", counted)
+        costs = dict(cost_a=RdCost(0.0, 0.0, merge_d / 2), cost_b=RdCost(0.0, 0.0, merge_d / 2 + excess))
+        res = merge_segments(a, b, (), proxy, cfg, **costs)
+        assert len(calls) == dp_calls
+        assert res is None or res[2].total < merge_d + excess
 
 
 class TestApproximateContour:

@@ -466,6 +466,12 @@ def _reference_synthesize(left, right, alpha, scale):
     return out
 
 
+def every_level(rng, shape):
+    """A depth map of ``shape`` (at least 256 pixels) holding each of the
+    256 sample values, in random places."""
+    return rng.permutation(np.resize(np.arange(256, dtype=np.uint8), shape[0] * shape[1])).reshape(shape)
+
+
 class TestAgainstLoops:
     @given(
         seed=st.integers(0, 2 ** 32 - 1),
@@ -483,6 +489,23 @@ class TestAgainstLoops:
         color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8))
         expected = _reference_warp(depth, color, alpha, direction, scale)
         got = _warp(depth, color, alpha, direction, scale)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(256, 320)),
+        alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        direction=st.sampled_from([-1, 1]),
+    )
+    @settings(max_examples=60)
+    def test_warp_every_depth_level_at_scale_one(self, seed, shape, alpha, direction):
+        # shifts of 0..255 pixels: the largest keys, and targets beyond both row ends
+        rng = np.random.default_rng(seed)
+        depth = DepthImage(every_level(rng, shape))
+        color = ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8))
+        expected = _reference_warp(depth, color, alpha, direction, 1.0)
+        got = _warp(depth, color, alpha, direction, 1.0)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and np.array_equal(g, e)
 
@@ -521,6 +544,26 @@ class TestAgainstLoops:
         )
         expected = _reference_synthesize(left, right, alpha, scale)
         assert np.array_equal(synthesize_view(left, right, alpha, scale).pixels, expected)
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(256, 320)),
+        alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60)
+    def test_synthesize_view_every_depth_level_at_scale_one(self, seed, shape, alpha):
+        # at alpha 0 and 1 one view is not shifted and the other moves by up
+        # to 255 pixels; blended pixels take weights 0 and 1
+        rng = np.random.default_rng(seed)
+        left, right = (
+            (
+                DepthImage(every_level(rng, shape)),
+                ColorImage(rng.integers(0, 256, shape + (3,), dtype=np.uint8)),
+            )
+            for _ in range(2)
+        )
+        expected = _reference_synthesize(left, right, alpha, 1.0)
+        assert np.array_equal(synthesize_view(left, right, alpha, 1.0).pixels, expected)
 
 
 class TestSynthesize:

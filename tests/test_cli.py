@@ -1,4 +1,5 @@
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -453,11 +454,55 @@ def test_sweep_matches_border_golden_csv():
     csv = run_sweep(left, right, PipelineConfig(seed=4), (0.0, 2.0, 8.0), spec.value_scale, timing=False)
     assert csv.encode() == expected
 
+
+LARGE_SPARSE_SWEEP = Path(__file__).with_name("data") / "sweep_512x384_sparse.csv"
+
+
+def test_sweep_matches_large_sparse_golden_csv():
+    """A 512x384 scene with two straight-edged shapes (lambdas 0,8), whose
+    reference views and projections warp the whole of a large image; the
+    other golden CSVs are 128x96 or smaller."""
+    expected = LARGE_SPARSE_SWEEP.read_bytes()
+    assert hashlib.sha256(expected).hexdigest().startswith("948089b7e773")
+    spec = SceneSpec(width=512, height=384, shapes=2, jitter=0, texture="noise")
+    left, right = make_synthetic_scene(2, spec)
+    csv = run_sweep(left, right, PipelineConfig(seed=2), (0.0, 8.0), spec.value_scale, timing=False)
+    assert csv.encode() == expected
+
+
 def test_psnr_cap_and_symmetry(rng):
     img = ColorImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     assert psnr(img, img) == 99.0
     other = ColorImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     assert psnr(img, other) == psnr(other, img)
+
+
+def _reference_psnr(a: ColorImage, b: ColorImage) -> float:
+    """The float64 mean of the squared errors, as numpy sums it."""
+    mse = float(np.mean((a.pixels.astype(np.float64) - b.pixels.astype(np.float64)) ** 2))
+    if mse == 0.0:
+        return PSNR_CAP_DB
+    return min(10.0 * math.log10(255.0 ** 2 / mse), PSNR_CAP_DB)
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    shape=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    spread=st.sampled_from([0, 1, 3, 40, 255]),
+)
+@settings(max_examples=300)
+def test_psnr_equals_the_float_mean_of_squared_errors(seed, shape, spread):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 256, shape + (3,))
+    b = np.clip(a + rng.integers(-spread, spread + 1, a.shape), 0, 255)
+    a, b = ColorImage(a), ColorImage(b)
+    assert psnr(a, b) == _reference_psnr(a, b)
+
+
+def test_psnr_error_sum_beyond_32_bits():
+    # 65025 * 120000 squared errors sum to about 7.8e9 > 2**31
+    black, white = ColorImage(np.zeros((200, 200, 3), np.uint8)), ColorImage(np.full((200, 200, 3), 255, np.uint8))
+    assert psnr(black, white) == _reference_psnr(black, white) == 0.0
 
 
 def count_scoring_calls(monkeypatch, fail_first=()):

@@ -59,6 +59,21 @@ def test_load_depth_bad_magic(tmp_path):
         load_depth(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\n1_0 +1\n2_55\n", b"P5\n10 1\n+255\n", b"P5\n10 0x1\n255\n", b"P5\n-10 1\n255\n"])
+def test_load_depth_rejects_fields_that_are_not_decimal_digits(tmp_path, header):
+    # Python's int reads 1_0, +1 and 2_55 as 10, 1 and 255
+    path = tmp_path / "t.pgm"
+    path.write_bytes(header + bytes(10))
+    with pytest.raises(ImageFormatError, match="malformed header: non-numeric field"):
+        load_depth(path)
+
+
+def test_load_depth_reads_leading_zeros_as_decimal(tmp_path):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(b"P5\n010 01\n0255\n" + bytes(range(10)))
+    assert load_depth(path).pixels.tolist() == [list(range(10))]
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_depth(tmp_path / "absent.pgm")
@@ -89,10 +104,9 @@ def expected_pnm(data: bytes, cls):
     m = _PNM_HEADER.match(data)
     if m is None or m[1] != cls._magic:
         return None
-    try:
-        width, height, maxval = (int(t) for t in m.groups()[1:])
-    except ValueError:
+    if not all(t.isdigit() for t in m.groups()[1:]):  # ASCII decimal digits only
         return None
+    width, height, maxval = (int(t) for t in m.groups()[1:])
     shape = (height, width) + cls._channels
     if width <= 0 or height <= 0 or maxval != 255 or len(data) - m.end() < math.prod(shape):
         return None
