@@ -8,16 +8,16 @@ distance from the candidate edge's end point to the line.  Normalizing over
 the three relative symbols cancels the von-Mises constant.
 
 Every edge is priced by the context model of its parameter set
-(:func:`context_model`): one lazily filled table keyed by the window of at
-most K recent absolute directions, whose entry holds both the bits of each
-allowed next direction and the quantized cumulative frequencies of the range
-coder.  The empty window prices the first edge of a contour at 2 bits for
-each of the four directions (that direction is carried in the bitstream
-header); a window shorter than K, which means fewer than K edges are coded,
-is uniform over its three non-reversing directions; a full window fits the
-geometric model.  Rate estimation, the contour DP, encoding and decoding all
-read that one table, so the rate the DP minimizes is the rate the coder
-spends.
+(:func:`context_model`): one lazily filled table keyed by the window, the
+last K absolute directions coded (all of them while fewer are).  An entry
+holds the bits of each allowed next direction, the range coder's quantized
+cumulative frequencies and the window after each next direction or turn,
+so callers step from window to window.  The empty window prices the first
+edge of a contour at 2 bits for each of the four directions (that direction
+is carried in the bitstream header); a window shorter than K is uniform
+over its three non-reversing directions; a full window fits the geometric
+model.  Rate estimation, the contour DP, encoding and decoding all read
+that one table, so the rate the DP minimizes is the rate the coder spends.
 
 Bitstream layout (all integers big-endian):
 magic "AEC1" | u16 contour count | per contour: u16 p, u16 q,
@@ -39,7 +39,6 @@ from .contour import ABSOLUTE, DIR_VECTOR, Contour, step, turn
 
 logger = logging.getLogger(__name__)
 
-LOG2_3 = math.log2(3.0)
 PROB_FLOOR = 2.0 ** -16
 # uniform mixing weight enforcing the probability floor (1/12288 > 2^-16)
 _MIX = 2.0 ** -12
@@ -120,25 +119,19 @@ def line_point_distance(line, point) -> float:
     return abs((point[1] - mq) * up - (point[0] - mp) * uq)
 
 
-def _uniform3():
-    return {"l": 1.0 / 3.0, "s": 1.0 / 3.0, "r": 1.0 / 3.0}
-
-
 def edge_probabilities(context_points, last_dir: str, params: AecParams) -> dict:
     """Distribution over the relative symbols given recent edge endpoints.
 
     ``context_points`` are the crack points of the recent polyline, oldest
     first and ending at the current head.  Falls back to the uniform
-    distribution on a degenerate (single-point) context.
+    distribution when no line fits them.
     """
     pts = list(context_points)
-    if len(pts) < 2:
-        return _uniform3()
     try:
         line = fit_line(pts, orient=DIR_VECTOR[last_dir])
     except DegenerateContextError:
         logger.debug("degenerate context at %s; using uniform distribution", pts[-1])
-        return _uniform3()
+        return dict.fromkeys("lsr", 1.0 / 3.0)
     head = pts[-1]
     (_, _), (up, uq) = line
     log_weights = {}
@@ -176,33 +169,42 @@ def _quantize(probs) -> tuple:
 
 
 class ContextModel(dict):
-    """The context model of one parameter set: ``{window: (bits, cum)}``,
-    each entry computed on first use by the rule of the module docstring.
+    """The context model of one parameter set: ``{window: (bits, cum, after)}``,
+    each entry computed on first use by the rules of the module docstring.
 
     ``bits`` maps each allowed next absolute direction to ``-log2`` of its
     probability; ``cum`` holds the range coder's cumulative frequency bounds
-    ``(0, l, l + s, total)``, or None for the empty window.  The model is
-    translation invariant, so a full window's entry fits its polyline with
-    the head at the origin.
+    ``(0, l, l + s, total)``, or None for the empty window; ``after`` maps
+    each absolute direction, and for a non-empty window each turn ``l``,
+    ``s``, ``r``, to the next window.  The model is translation invariant,
+    so a full window's entry fits its polyline with the head at the origin.
     """
 
     def __init__(self, params: AecParams):
         super().__init__()
         self.params = params
 
+    def walk(self, dirs, window: tuple = ()) -> tuple:
+        """The window after coding absolute directions ``dirs`` from ``window``."""
+        for d in dirs:
+            window = self[window][2][d]
+        return window
+
     def __missing__(self, window: tuple) -> tuple:
+        after = {d: (window + (d,))[-self.params.context_len :] for d in ABSOLUTE}
         if not window:
-            entry = self[window] = (dict.fromkeys(ABSOLUTE, 2.0), None)
+            entry = self[window] = (dict.fromkeys(ABSOLUTE, 2.0), None, after)
             return entry
         last = window[-1]
+        after.update((rel, after[turn(last, rel)]) for rel in "lsr")
         if len(window) < self.params.context_len:
             probs = dict.fromkeys("lsr", 1.0 / 3.0)
-            bits = {turn(last, rel): LOG2_3 for rel in "lsr"}
+            bits = {turn(last, rel): math.log2(3.0) for rel in "lsr"}
         else:
             probs = edge_probabilities(context_points((0, 0), window), last, self.params)
             bits = {turn(last, rel): -math.log2(probs[rel]) for rel in "lsr"}
         cum = tuple(accumulate(_quantize([probs[rel] for rel in "lsr"]), initial=0))
-        entry = self[window] = (bits, cum)
+        entry = self[window] = (bits, cum, after)
         return entry
 
 
@@ -215,13 +217,13 @@ def context_model(params: AecParams) -> ContextModel:
 def estimate_rate(contour: Contour, params: AecParams) -> float:
     """Entropy estimate in bits of coding one contour, each edge priced by
     the context model from the window of the edges before it."""
-    k = params.context_len
     model = context_model(params)
     bits = 0.0
-    recent = ()
+    window = ()
     for d in contour.absolute_dirs():
-        bits += model[recent][0][d]
-        recent = (recent + (d,))[-k:]
+        window_bits, _, after = model[window]
+        bits += window_bits[d]
+        window = after[d]
     return bits
 
 
@@ -316,16 +318,15 @@ def encode(contours, params: AecParams) -> bytes:
         if not (0 <= p <= 0xFFFF and 0 <= q <= 0xFFFF):
             raise ValueError("contour start outside u16 range")
         out += _HEADER.pack(p, q, ABSOLUTE.index(c.first), len(c.rest))
-    k = params.context_len
     model = context_model(params)
     enc = RangeEncoder()
     for c in contours:
-        recent = (c.first,)
+        window = model.walk(c.first)
         for rel in c.rest:
-            cum = model[recent][1]
+            _, cum, after = model[window]
             sym = "lsr".index(rel)
             enc.encode(cum[sym], cum[sym + 1], _FREQ_TOTAL)
-            recent = (recent + (turn(recent[-1], rel),))[-k:]
+            window = after[rel]
     out += enc.finish()
     out.append(0)
     return bytes(out)
@@ -357,16 +358,16 @@ def _read_stream(data: bytes):
 def decode(data: bytes, params: AecParams):
     """Decode a bitstream produced by :func:`encode` with identical params."""
     headers, payload = _read_stream(data)
-    k = params.context_len
     model = context_model(params)
     dec = RangeDecoder(payload)
     contours = []
     for start, first, nsyms in headers:
-        recent = (first,)
+        window = model.walk(first)
         rest = []
         for _ in range(nsyms):
-            rel = "lsr"[dec.decode(model[recent][1], _FREQ_TOTAL)]
+            _, cum, after = model[window]
+            rel = "lsr"[dec.decode(cum, _FREQ_TOTAL)]
             rest.append(rel)
-            recent = (recent + (turn(recent[-1], rel),))[-k:]
+            window = after[rel]
         contours.append(Contour(start, first, "".join(rest)))
     return contours

@@ -89,15 +89,15 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, c
     move from its row's column in ``vertical_columns``.  ``color`` is an
     image or a row proxy of it, whose weight prices each shift.  Raises
     ValueError when an edge doubles back."""
-    k = cfg.aec.context_len
-    recent = tuple(prior_dirs)[-k:]
     proxy = row_proxy(color, cfg.swim)
     model = context_model(cfg.aec)
+    window = model.walk(prior_dirs)
     total = 0.0
     rate = 0.0
     dist = 0.0
     for d, (vertical, row, q) in zip(dirs, cracks(seg.start, dirs)):
-        bits = model[recent][0].get(d)
+        window_bits, _, after = model[window]
+        bits = window_bits.get(d)
         if bits is None:
             raise ValueError("path doubles back")
         total += cfg.lagrange * bits
@@ -106,7 +106,7 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, c
             (c,) = proxy.edge_costs(row, vertical_columns[row], (q,))
             total += c
             dist += c
-        recent = (recent + (d,))[-k:]
+        window = after[d]
     return RdCost(dist, rate, total)
 
 
@@ -140,8 +140,8 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
 
     Returns (approximated Segment, RdCost).
     """
-    k = cfg.aec.context_len
-    prior = tuple(prior_dirs)[-k:]
+    model = context_model(cfg.aec)
+    prior = model.walk(prior_dirs)
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     first_row, end_row = sorted((seg.start[0], segment_endpoint(seg)[0]))
@@ -154,24 +154,23 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     length = seg.length
     h_count = length - v_count
     # a first move back against the prior's last direction is never taken
-    blocked = [move for move, d in enumerate(moves) if prior and OPPOSITE[d] == prior[-1]]
+    blocked = [move for move, d in enumerate(moves) if d not in model[prior][0]]
     if blocked and (v_count, h_count)[1 - blocked[0]] == 0:
         raise ValueError("unreachable endpoint: malformed segment")
 
     # rate of each move from each window: layer t < K reads the prior's tail
     # and the t moves of m, every later layer the K moves of m
-    model = context_model(cfg.aec)
+    k = cfg.aec.context_len
     masks = 1 << k
     half = masks >> 1
     windows = [prior]
     bits = []
-    for t in range(min(k, length - 1) + 1):
-        if t:
-            windows = [(window + (d,))[-k:] for window in windows for d in moves]
-        for window in windows:
-            window_bits = model[window][0]
+    for _ in range(min(k, length - 1) + 1):
+        entries = [model[window] for window in windows]
+        for window_bits, _, _ in entries:
             bits += [window_bits.get(moves[0], 0.0), window_bits.get(moves[1], 0.0)]
         bits += [0.0] * (2 * (masks - len(windows)))  # windows of unreached masks
+        windows = [after[d] for _, _, after in entries for d in moves]
     rate = cfg.lagrange * np.array(bits).reshape(-1, 2, half, 2, 1)  # (layer, m's oldest move, rest of m, move, i)
     for move in blocked:
         rate[0, 0, 0, move] = math.inf
@@ -317,7 +316,7 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
     """
     proxy = row_proxy(color, cfg.swim)
     contour.check_inside(*proxy.lum.shape)
-    k = cfg.aec.context_len
+    model = context_model(cfg.aec)
     slots = []
     recent = ()
     originals = split_segments(contour)
@@ -328,7 +327,7 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
         forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
         approx, cost = approximate_segment(seg, recent, proxy, segment_vertical_columns(seg), cfg, forbidden_last=forbidden)
         slots.append([seg, approx, cost])
-        recent = (recent + tuple(approx.dirs))[-k:]
+        recent = model.walk(approx.dirs, recent)
 
     if cfg.merge:
         improved = True
@@ -343,7 +342,7 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
                     cost_a=slots[i][2], cost_b=slots[i + 1][2], forbidden_last=forbidden,
                 )
                 if res is None:
-                    prior = (prior + tuple(slots[i][1].dirs))[-k:]
+                    prior = model.walk(slots[i][1].dirs, prior)
                     i += 1
                     continue
                 slots[i : i + 2] = [list(res)]  # (projected original, approximation, cost)

@@ -278,6 +278,6 @@ def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int, scale:
     rdep, rcol = right
     changed = proj_valid & (proj_d != rdep.pixels)
     new_d = np.where(changed, proj_d, rdep.pixels)
-    new_c = np.where(changed[..., None], proj_c, rcol.pixels)
+    new_c = np.where(np.repeat(changed, 3).reshape(proj_c.shape), proj_c, rcol.pixels)  # per sample, as in synthesize_view
     rres = _approximate_view(DepthImage(new_d), ColorImage(new_c), cfg, threshold, cfg.interview_weight)
     return StereoResult(lres, rres)

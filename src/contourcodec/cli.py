@@ -28,7 +28,7 @@ import numpy as np
 
 from . import aec
 from .augment import approximate_stereo, synthesize_view
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, _floats, load_config
 from .contour import detect_contours, format_contours, parse_contours
 from .image_io import (
     ColorImage,
@@ -216,8 +216,8 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
 
 def cmd_sweep(args) -> int:
     cfg = _read_config(args)
-    if args.lambdas:
-        cfg = replace(cfg, lambdas=tuple(float(v) for v in args.lambdas.split(",")))
+    if args.lambdas is not None:
+        cfg = replace(cfg, lambdas=_floats(args.lambdas))
     scale = cfg.disparity_scale
     if args.scene:
         spec = parse_scene_spec(Path(args.scene).read_text(encoding="utf-8"))

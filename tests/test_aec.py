@@ -12,6 +12,7 @@ from contourcodec import aec
 from contourcodec.aec import (
     AecParams,
     BitstreamError,
+    ContextModel,
     RangeEncoder,
     DegenerateContextError,
     PROB_FLOOR,
@@ -74,10 +75,6 @@ class TestEdgeProbabilities:
         probs = edge_probabilities(pts, "S", AecParams(context_len=4))
         assert probs["l"] > probs["s"] > probs["r"]
 
-    def test_short_context_uniform(self):
-        probs = edge_probabilities([(0, 0)], "E", AecParams())
-        assert probs == {"l": 1 / 3, "s": 1 / 3, "r": 1 / 3}
-
     def test_probability_floor(self):
         # extreme concentration would underflow without the floor
         probs = edge_probabilities([(5, c) for c in range(5)], "E", AecParams(kappa=40.0))
@@ -134,7 +131,7 @@ class TestContextModel:
         assert len(windows) == 4 * 3 ** (k - 1)
         for w in windows:
             probs = edge_probabilities(context_points((0, 0), w), w[-1], params)
-            bits, cum = model[w]
+            bits, cum, _ = model[w]
             assert list(bits) == [turn(w[-1], rel) for rel in "lsr"]
             assert list(bits.values()) == [-math.log2(probs[rel]) for rel in "lsr"]
             freqs = aec._quantize([probs[rel] for rel in "lsr"])
@@ -149,13 +146,95 @@ class TestContextModel:
         # the first edge is uniform over the four directions, and every edge
         # coded before K directions exist over the three non-reversing ones
         model = context_model(AecParams(context_len=k))
-        assert model[()] == (dict.fromkeys(ABSOLUTE, 2.0), None)
+        assert model[()][:2] == (dict.fromkeys(ABSOLUTE, 2.0), None)
         freqs = aec._quantize((1 / 3,) * 3)
         for n in range(1, k):
             for w in full_windows(n):
-                bits, cum = model[w]
+                bits, cum, _ = model[w]
                 assert bits == {turn(w[-1], rel): math.log2(3.0) for rel in "lsr"}
                 assert cum == (0, freqs[0], freqs[0] + freqs[1], 65536)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_successors_keep_the_last_k_directions(self, k):
+        # every window reachable from () by successors, reversals included
+        model = ContextModel(AecParams(context_len=k))
+        seen, todo = {()}, [()]
+        while todo:
+            w = todo.pop()
+            after = model[w][2]
+            assert sorted(after) == sorted(ABSOLUTE + ("lsr" if w else ""))
+            for d in ABSOLUTE:
+                assert after[d] == (w + (d,))[-k:]
+            for rel in "lsr" if w else "":
+                assert after[rel] == after[turn(w[-1], rel)]
+            todo += set(after.values()) - seen
+            seen |= set(after.values())
+        assert len(seen) == sum(4 ** n for n in range(k + 1))
+
+
+def reference_rate(contour, params):
+    """estimate_rate as it was written with explicit window slicing."""
+    k = params.context_len
+    model = context_model(params)
+    bits = 0.0
+    recent = ()
+    for d in contour.absolute_dirs():
+        bits += model[recent][0][d]
+        recent = (recent + (d,))[-k:]
+    return bits
+
+
+def reference_encode(contours, params):
+    """encode as it was written with explicit window slicing and turns."""
+    out = bytearray(aec._MAGIC) + len(contours).to_bytes(2, "big")
+    for c in contours:
+        out += aec._HEADER.pack(*c.start, ABSOLUTE.index(c.first), len(c.rest))
+    k = params.context_len
+    model = context_model(params)
+    enc = RangeEncoder()
+    for c in contours:
+        recent = (c.first,)
+        for rel in c.rest:
+            cum = model[recent][1]
+            sym = "lsr".index(rel)
+            enc.encode(cum[sym], cum[sym + 1], 65536)
+            recent = (recent + (turn(recent[-1], rel),))[-k:]
+    return bytes(out + enc.finish() + b"\x00")
+
+
+def reference_decode(data, params):
+    """decode as it was written with explicit window slicing and turns."""
+    headers, payload = aec._read_stream(data)
+    k = params.context_len
+    model = context_model(params)
+    dec = aec.RangeDecoder(payload)
+    contours = []
+    for start, first, nsyms in headers:
+        recent = (first,)
+        rest = []
+        for _ in range(nsyms):
+            rel = "lsr"[dec.decode(model[recent][1], 65536)]
+            rest.append(rel)
+            recent = (recent + (turn(recent[-1], rel),))[-k:]
+        contours.append(Contour(start, first, "".join(rest)))
+    return contours
+
+
+contour_lists = st.lists(
+    st.builds(Contour, st.tuples(st.integers(0, 999), st.integers(0, 999)), st.sampled_from(ABSOLUTE), st.text("lsr", max_size=80)),
+    max_size=4,
+)
+
+
+@settings(max_examples=150)
+@given(k=st.integers(1, 5), contours=contour_lists)
+def test_codec_and_rate_match_the_slicing_reference(k, contours):
+    params = AecParams(context_len=k)
+    data = encode(contours, params)
+    assert data == reference_encode(contours, params)
+    assert decode(data, params) == reference_decode(data, params) == contours
+    for c in contours:
+        assert estimate_rate(c, params) == reference_rate(c, params)
 
 
 class TestEstimateRate:
@@ -185,8 +264,12 @@ def _random_sets(rng, n_sets, max_len=200, max_contours=4):
 # sha256 of the streams of the contours detected on the README scene's views
 # (128x96, jitter 2, noise texture, seed 2, threshold 30), one per context length
 GOLDEN_STREAMS = {
+    ("left", 1): "a72cab0cc55741c92e1d102ab0c1f3bac7778a5212ccf90a1e5d2443401530ce",
+    ("left", 2): "480272cff0d80bf7eb0370d7d8e89cff96cc6cb85d99fcdf95ae485758a41179",
     ("left", 3): "f38e44de2f0e3fa207c57dbdf99f2fe2288f2b059101bb96d96f98c7312fc542",
     ("left", 5): "ad028c759515e85a975f800cd868c25534345cde2ecb4a3365fa8f41447c2912",
+    ("right", 1): "b58ff03ff6e9b574105752aee53f0ae8fde106a0c022e282fbf06158cb5d547d",
+    ("right", 2): "91a9212ce0d12dd4a42dd7399153269a33281d8792990eb88c381c315f094571",
     ("right", 3): "f01208d428af7ec558063b9d8fb94c7205bc844bca3e880d8b59e89abd955bc4",
     ("right", 5): "3ee13421b6a3b1d8a9891f3fc5d8715a1b30645258058c483395696d13c0cdf8",
 }

@@ -329,13 +329,27 @@ def test_sweep_rejects_bad_lambdas_override(tmp_path, lambdas):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lambdas", [",", "0,,8", "4,"])
+@pytest.mark.parametrize("lambdas", [",", " , ", ""])
 def test_sweep_rejects_empty_lambdas_items(tmp_path, lambdas):
-    # unlike the config file's list, the override skips no empty item
     out = tmp_path / "sweep.csv"
-    with pytest.raises(ValueError, match="could not convert string to float: ''"):
+    with pytest.raises(ValueError, match="lambdas must not be empty"):
         main(sweep_args(tmp_path / "missing.cfg", out, ["--lambdas", lambdas]))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lambdas, rows", [("0,,8", 2), ("4,", 1)])
+def test_sweep_lambdas_override_reads_like_the_config_file(tmp_path, lambdas, rows):
+    # the override and the config file's list share one converter, which
+    # skips empty items
+    spec = SceneSpec(width=64, height=64, shapes=1, jitter=1, min_size=16, max_size=16, margin=24)
+    scene_file = tmp_path / "scene.cfg"
+    scene_file.write_text(format_scene_spec(spec))
+    (tmp_path / "sweep.cfg").write_text(f"lambdas = {lambdas}\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(sweep_args(scene_file, a, ["--lambdas", lambdas, "--no-timing"])) == 0
+    assert main(sweep_args(scene_file, b, ["--config", str(tmp_path / "sweep.cfg"), "--no-timing"])) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 1 + rows
 
 
 def test_sweep_rejects_views_of_different_sizes():
