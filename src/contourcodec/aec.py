@@ -10,14 +10,18 @@ the three relative symbols cancels the von-Mises constant.
 Every edge is priced by the context model of its parameter set
 (:func:`context_model`): one lazily filled table keyed by the window, the
 last K absolute directions coded (all of them while fewer are).  An entry
-holds the bits of each allowed next direction, the range coder's quantized
-cumulative frequencies and the window after each next direction or turn,
-so callers step from window to window.  The empty window prices the first
+holds the bits of each allowed next direction or turn, the range coder's
+interval of each turn and the window after each next direction or turn, so
+callers step from window to window.  The empty window prices the first
 edge of a contour at 2 bits for each of the four directions (that direction
 is carried in the bitstream header); a window shorter than K is uniform
 over its three non-reversing directions; a full window fits the geometric
 model.  Rate estimation, the contour DP, encoding and decoding all read
 that one table, so the rate the DP minimizes is the rate the coder spends.
+
+The range coder codes each turn in an interval of cumulative frequencies
+out of a fixed total of 2^16.  One coder call codes the turns of a whole
+contour, stepping from window to window with the coder state in locals.
 
 Bitstream layout (all integers big-endian):
 magic "AEC1" | u16 contour count | per contour: u16 p, u16 q,
@@ -43,7 +47,8 @@ PROB_FLOOR = 2.0 ** -16
 # uniform mixing weight enforcing the probability floor (1/12288 > 2^-16)
 _MIX = 2.0 ** -12
 
-_FREQ_TOTAL = 1 << 16
+_FREQ_BITS = 16
+_FREQ_TOTAL = 1 << _FREQ_BITS
 _TOP = 1 << 24
 
 
@@ -169,15 +174,17 @@ def _quantize(probs) -> tuple:
 
 
 class ContextModel(dict):
-    """The context model of one parameter set: ``{window: (bits, cum, after)}``,
+    """The context model of one parameter set: ``{window: (bits, spans, after)}``,
     each entry computed on first use by the rules of the module docstring.
 
-    ``bits`` maps each allowed next absolute direction to ``-log2`` of its
-    probability; ``cum`` holds the range coder's cumulative frequency bounds
-    ``(0, l, l + s, total)``, or None for the empty window; ``after`` maps
-    each absolute direction, and for a non-empty window each turn ``l``,
-    ``s``, ``r``, to the next window.  The model is translation invariant,
-    so a full window's entry fits its polyline with the head at the origin.
+    ``bits`` maps each allowed next absolute direction, and for a non-empty
+    window each turn ``l``, ``s``, ``r``, to ``-log2`` of its probability;
+    ``spans`` maps each turn to its range-coder interval ``(lo, hi)`` of
+    cumulative frequencies out of 2^16, the turns in the order l, s, r, or
+    is None for the empty window; ``after`` maps each absolute direction, and
+    for a non-empty window each turn, to the next window.  The model is
+    translation invariant, so a full window's entry fits its polyline with
+    the head at the origin.
     """
 
     def __init__(self, params: AecParams):
@@ -203,8 +210,10 @@ class ContextModel(dict):
         else:
             probs = edge_probabilities(context_points((0, 0), window), last, self.params)
             bits = {turn(last, rel): -math.log2(probs[rel]) for rel in "lsr"}
-        cum = tuple(accumulate(_quantize([probs[rel] for rel in "lsr"]), initial=0))
-        entry = self[window] = (bits, cum, after)
+        bits.update((rel, bits[turn(last, rel)]) for rel in "lsr")
+        a, b, _ = accumulate(_quantize([probs[rel] for rel in "lsr"]))
+        spans = {"l": (0, a), "s": (a, b), "r": (b, _FREQ_TOTAL)}
+        entry = self[window] = (bits, spans, after)
         return entry
 
 
@@ -218,12 +227,13 @@ def estimate_rate(contour: Contour, params: AecParams) -> float:
     """Entropy estimate in bits of coding one contour, each edge priced by
     the context model from the window of the edges before it."""
     model = context_model(params)
-    bits = 0.0
-    window = ()
-    for d in contour.absolute_dirs():
+    first_bits, _, after = model[()]
+    bits = first_bits[contour.first]
+    window = after[contour.first]
+    for rel in contour.rest:
         window_bits, _, after = model[window]
-        bits += window_bits[d]
-        window = after[d]
+        bits += window_bits[rel]
+        window = after[rel]
     return bits
 
 
@@ -236,14 +246,16 @@ class RangeEncoder:
     """Range encoder (G. N. N. Martin, "Range encoding", 1979): the coded
     value is the written bytes followed by ``low``, 32 bits and a carry bit.
 
-    Before each byte is written, a carry adds one to the last written byte
-    that is not 0xFF and zeroes the 0xFF bytes after it; the coded value
-    stays below 1, so it never runs past the first byte.  A byte becomes 0xFF
-    only when written or incremented by a carry, and a symbol causes at most
-    one carry, so the carry work is at most the bytes written plus the
-    symbols coded: O(n) for n symbols.  ``finish`` rounds ``low`` up to the
-    shortest value inside the final interval, appends its 4 bytes and strips
-    the trailing zeros.
+    One :meth:`encode_turns` call codes the turns of one contour, each with
+    the cumulative frequencies of its window's entry over a total of 2^16,
+    keeping the coder state in locals for the whole run.  Before each byte is
+    written, a carry adds one to the last written byte that is not 0xFF and
+    zeroes the 0xFF bytes after it; the coded value stays below 1, so it
+    never runs past the first byte.  A byte becomes 0xFF only when written or
+    incremented by a carry, and a symbol causes at most one carry, so the
+    carry work is at most the bytes written plus the symbols coded: O(n) for
+    n symbols.  ``finish`` rounds ``low`` up to the shortest value inside the
+    final interval, appends its 4 bytes and strips the trailing zeros.
     """
 
     def __init__(self):
@@ -251,55 +263,80 @@ class RangeEncoder:
         self._range = 1 << 32
         self._out = bytearray()
 
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        r = self._range // total
-        self._range = self._range - r * cum_lo if cum_hi == total else r * (cum_hi - cum_lo)
-        self._low += r * cum_lo
-        while self._range < _TOP:
-            if self._low >> 32:
-                self._carry()
-            self._out.append((self._low >> 24) & 0xFF)
-            self._low = (self._low << 8) & 0xFFFFFFFF
-            self._range <<= 8
-
-    def _carry(self) -> None:
-        i = len(self._out) - 1
-        while self._out[i] == 0xFF:
-            self._out[i] = 0
-            i -= 1
-        self._out[i] += 1
+    def encode_turns(self, model: ContextModel, window: tuple, turns: str) -> None:
+        """Code ``turns``, the first from the entry of ``window``."""
+        low, rng, out = self._low, self._range, self._out
+        for rel in turns:
+            _, spans, after = model[window]
+            lo, hi = spans[rel]
+            r = rng >> _FREQ_BITS
+            rng = rng - r * lo if hi == _FREQ_TOTAL else r * (hi - lo)
+            low += r * lo
+            while rng < _TOP:
+                if low >> 32:
+                    _carry(out)
+                out.append((low >> 24) & 0xFF)
+                low = (low << 8) & 0xFFFFFFFF
+                rng <<= 8
+            window = after[rel]
+        self._low, self._range = low, rng
 
     def finish(self) -> bytes:
         z = self._range.bit_length() - 1
-        self._low = ((self._low + (1 << z) - 1) >> z) << z
-        if self._low >> 32:
-            self._carry()
-        return bytes(self._out + (self._low & 0xFFFFFFFF).to_bytes(4, "big")).rstrip(b"\x00")
+        low = ((self._low + (1 << z) - 1) >> z) << z
+        if low >> 32:
+            _carry(self._out)
+        return bytes(self._out + (low & 0xFFFFFFFF).to_bytes(4, "big")).rstrip(b"\x00")
+
+
+def _carry(out: bytearray) -> None:
+    i = len(out) - 1
+    while out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    out[i] += 1
 
 
 class RangeDecoder:
-    """Mirror of RangeEncoder tracking code - low, which stays bounded; the
-    payload is read as one byte stream, zero-padded past its end."""
+    """Mirror of RangeEncoder tracking code - low, which stays below the
+    range; the payload is read as one byte stream, zero-padded past its end.
+    One :meth:`decode_turns` call decodes the turns of one contour, each
+    from the intervals of its window's entry over the total of 2^16."""
 
     def __init__(self, data: bytes):
         self._bytes = chain(data, repeat(0))
         self._range = 1 << 32
         self._diff = int.from_bytes(bytes(islice(self._bytes, 4)), "big")
 
-    def decode(self, cum, total: int) -> int:
-        """Decode one symbol of cumulative frequency bounds ``cum``."""
-        r = self._range // total
-        t = min(self._diff // r, total - 1)
-        sym = 0
-        while cum[sym + 1] <= t:
-            sym += 1
-        lo, hi = cum[sym], cum[sym + 1]
-        self._diff -= r * lo
-        self._range = self._range - r * lo if hi == total else r * (hi - lo)
-        while self._range < _TOP:
-            self._diff = (self._diff << 8) | next(self._bytes)
-            self._range <<= 8
-        return sym
+    def decode_turns(self, model: ContextModel, window: tuple, count: int) -> str:
+        """Decode ``count`` turns, the first from the entry of ``window``."""
+        rng, diff, read = self._range, self._diff, self._bytes.__next__
+        turns = []
+        for _ in range(count):
+            _, spans, after = model[window]
+            a, b = spans["s"]
+            r = rng >> _FREQ_BITS
+            t = diff // r
+            # diff < range holds on any input, so t passes 2^16 - 1 only in
+            # the top turn's rounding slack, and like every t >= b decodes as r
+            if t < a:
+                rel = "l"
+                rng = r * a
+            elif t < b:
+                rel = "s"
+                diff -= r * a
+                rng = r * (b - a)
+            else:
+                rel = "r"
+                diff -= r * b
+                rng -= r * b
+            while rng < _TOP:
+                diff = (diff << 8) | read()
+                rng <<= 8
+            turns.append(rel)
+            window = after[rel]
+        self._range, self._diff = rng, diff
+        return "".join(turns)
 
 
 _MAGIC = b"AEC1"
@@ -317,16 +354,13 @@ def encode(contours, params: AecParams) -> bytes:
         p, q = c.start
         if not (0 <= p <= 0xFFFF and 0 <= q <= 0xFFFF):
             raise ValueError("contour start outside u16 range")
+        if len(c.rest) > 0xFFFFFFFF:
+            raise ValueError("too many turns for a u32 symbol count")
         out += _HEADER.pack(p, q, ABSOLUTE.index(c.first), len(c.rest))
     model = context_model(params)
     enc = RangeEncoder()
     for c in contours:
-        window = model.walk(c.first)
-        for rel in c.rest:
-            _, cum, after = model[window]
-            sym = "lsr".index(rel)
-            enc.encode(cum[sym], cum[sym + 1], _FREQ_TOTAL)
-            window = after[rel]
+        enc.encode_turns(model, model.walk(c.first), c.rest)
     out += enc.finish()
     out.append(0)
     return bytes(out)
@@ -360,14 +394,4 @@ def decode(data: bytes, params: AecParams):
     headers, payload = _read_stream(data)
     model = context_model(params)
     dec = RangeDecoder(payload)
-    contours = []
-    for start, first, nsyms in headers:
-        window = model.walk(first)
-        rest = []
-        for _ in range(nsyms):
-            _, cum, after = model[window]
-            rel = "lsr"[dec.decode(cum, _FREQ_TOTAL)]
-            rest.append(rel)
-            window = after[rel]
-        contours.append(Contour(start, first, "".join(rest)))
-    return contours
+    return [Contour(start, first, dec.decode_turns(model, model.walk(first), nsyms)) for start, first, nsyms in headers]

@@ -1,10 +1,11 @@
 import hashlib
 import math
-from itertools import product
+from itertools import chain, islice, product, repeat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import payload_bits, random_contour
@@ -13,6 +14,7 @@ from contourcodec.aec import (
     AecParams,
     BitstreamError,
     ContextModel,
+    RangeDecoder,
     RangeEncoder,
     DegenerateContextError,
     PROB_FLOOR,
@@ -131,11 +133,13 @@ class TestContextModel:
         assert len(windows) == 4 * 3 ** (k - 1)
         for w in windows:
             probs = edge_probabilities(context_points((0, 0), w), w[-1], params)
-            bits, cum, _ = model[w]
-            assert list(bits) == [turn(w[-1], rel) for rel in "lsr"]
-            assert list(bits.values()) == [-math.log2(probs[rel]) for rel in "lsr"]
+            bits, spans, _ = model[w]
+            dirs = [turn(w[-1], rel) for rel in "lsr"]
+            assert list(bits) == dirs + list("lsr")
+            assert [bits[d] for d in dirs] == [bits[rel] for rel in "lsr"] == [-math.log2(probs[rel]) for rel in "lsr"]
             freqs = aec._quantize([probs[rel] for rel in "lsr"])
-            assert cum == (0, freqs[0], freqs[0] + freqs[1], sum(freqs))
+            assert sum(freqs) == 65536
+            assert spans == {"l": (0, freqs[0]), "s": (freqs[0], freqs[0] + freqs[1]), "r": (freqs[0] + freqs[1], 65536)}
 
     def test_one_model_per_params(self):
         assert context_model(AecParams(context_len=4)) is context_model(AecParams(context_len=4))
@@ -150,9 +154,9 @@ class TestContextModel:
         freqs = aec._quantize((1 / 3,) * 3)
         for n in range(1, k):
             for w in full_windows(n):
-                bits, cum, _ = model[w]
-                assert bits == {turn(w[-1], rel): math.log2(3.0) for rel in "lsr"}
-                assert cum == (0, freqs[0], freqs[0] + freqs[1], 65536)
+                bits, spans, _ = model[w]
+                assert bits == dict.fromkeys([turn(w[-1], rel) for rel in "lsr"] + list("lsr"), math.log2(3.0))
+                assert spans == {"l": (0, freqs[0]), "s": (freqs[0], freqs[0] + freqs[1]), "r": (freqs[0] + freqs[1], 65536)}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_successors_keep_the_last_k_directions(self, k):
@@ -170,6 +174,66 @@ class TestContextModel:
             todo += set(after.values()) - seen
             seen |= set(after.values())
         assert len(seen) == sum(4 ** n for n in range(k + 1))
+
+
+class ReferenceRangeEncoder:
+    """The first encoder, kept as the reference: one call per symbol, the
+    full ``low`` as one integer, shifted left per output byte (quadratic in
+    stream length)."""
+
+    def __init__(self):
+        self._low = 0
+        self._range = 1 << 32
+        self._bits = 32
+
+    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
+        r = self._range // total
+        self._low += r * cum_lo
+        if cum_hi == total:
+            self._range -= r * cum_lo
+        else:
+            self._range = r * (cum_hi - cum_lo)
+        while self._range < aec._TOP:
+            self._low <<= 8
+            self._range <<= 8
+            self._bits += 8
+
+    def finish(self) -> bytes:
+        z = self._range.bit_length() - 1
+        value = ((self._low + (1 << z) - 1) >> z) << z
+        return value.to_bytes(self._bits // 8, "big").rstrip(b"\x00")
+
+
+class ReferenceRangeDecoder:
+    """The per-symbol range decoder the run-level one replaced, with its
+    clamp of the scaled code to total - 1; ``clamped`` counts the symbols
+    that needed the clamp."""
+
+    def __init__(self, data: bytes):
+        self._bytes = chain(data, repeat(0))
+        self._range = 1 << 32
+        self._diff = int.from_bytes(bytes(islice(self._bytes, 4)), "big")
+        self.clamped = 0
+
+    def decode(self, cum, total: int) -> int:
+        r = self._range // total
+        self.clamped += self._diff // r > total - 1
+        t = min(self._diff // r, total - 1)
+        sym = 0
+        while cum[sym + 1] <= t:
+            sym += 1
+        lo, hi = cum[sym], cum[sym + 1]
+        self._diff -= r * lo
+        self._range = self._range - r * lo if hi == total else r * (hi - lo)
+        while self._range < aec._TOP:
+            self._diff = (self._diff << 8) | next(self._bytes)
+            self._range <<= 8
+        return sym
+
+
+def cumulative(spans):
+    """The cumulative frequency bounds (0, l, l + s, total) of an entry's spans."""
+    return (0,) + tuple(hi for _, hi in spans.values())
 
 
 def reference_rate(contour, params):
@@ -191,29 +255,30 @@ def reference_encode(contours, params):
         out += aec._HEADER.pack(*c.start, ABSOLUTE.index(c.first), len(c.rest))
     k = params.context_len
     model = context_model(params)
-    enc = RangeEncoder()
+    enc = ReferenceRangeEncoder()
     for c in contours:
         recent = (c.first,)
         for rel in c.rest:
-            cum = model[recent][1]
+            cum = cumulative(model[recent][1])
             sym = "lsr".index(rel)
             enc.encode(cum[sym], cum[sym + 1], 65536)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
     return bytes(out + enc.finish() + b"\x00")
 
 
-def reference_decode(data, params):
-    """decode as it was written with explicit window slicing and turns."""
+def reference_decode(data, params, dec=None):
+    """decode as it was written with explicit window slicing and turns;
+    ``dec``, when given, is the reference decoder of ``data``'s payload."""
     headers, payload = aec._read_stream(data)
     k = params.context_len
     model = context_model(params)
-    dec = aec.RangeDecoder(payload)
+    dec = dec or ReferenceRangeDecoder(payload)
     contours = []
     for start, first, nsyms in headers:
         recent = (first,)
         rest = []
         for _ in range(nsyms):
-            rel = "lsr"[dec.decode(model[recent][1], 65536)]
+            rel = "lsr"[dec.decode(cumulative(model[recent][1]), 65536)]
             rest.append(rel)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
         contours.append(Contour(start, first, "".join(rest)))
@@ -389,37 +454,89 @@ class TestCodec:
             return
         assert [(c.start, c.first, len(c)) for c in decoded] == [(c.start, c.first, len(c)) for c in contours]
 
+    def test_more_turns_than_a_u32_count_raise_value_error(self):
+        class Turns:
+            def __len__(self):
+                return 2 ** 32
 
-class ReferenceRangeEncoder:
-    """The former encoder, kept as the reference: the full ``low`` as one
-    integer, shifted left per output byte (quadratic in stream length)."""
+        contour = SimpleNamespace(start=(0, 0), first="E", rest=Turns())
+        with pytest.raises(ValueError, match="u32"):
+            encode([contour], AecParams())
 
-    def __init__(self):
-        self._low = 0
-        self._range = 1 << 32
-        self._bits = 32
 
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        r = self._range // total
-        self._low += r * cum_lo
-        if cum_hi == total:
-            self._range -= r * cum_lo
-        else:
-            self._range = r * (cum_hi - cum_lo)
-        while self._range < aec._TOP:
-            self._low <<= 8
-            self._range <<= 8
-            self._bits += 8
+def decode_or_error(decoder, data, params):
+    try:
+        return decoder(data, params)
+    except BitstreamError:
+        return BitstreamError
 
-    def finish(self) -> bytes:
-        z = self._range.bit_length() - 1
-        value = ((self._low + (1 << z) - 1) >> z) << z
-        return value.to_bytes(self._bits // 8, "big").rstrip(b"\x00")
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    k=st.integers(1, 4),
+    edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)), max_size=5),
+    ff_run=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 40)),
+)
+@example(seed=0, k=3, edits=[], ff_run=(0, 40))
+@settings(max_examples=200)
+def test_run_decoder_matches_the_symbol_decoder_on_corrupt_streams(seed, k, edits, ff_run):
+    """Any bytes of a stream, header and payload alike, overwritten, and a run
+    of 0xFF bytes written into the payload: the run-level decoder returns
+    what the per-symbol one does, or both raise BitstreamError."""
+    rng = np.random.default_rng(seed)
+    contours = [random_contour(rng, int(n)) for n in rng.integers(1, 80, size=int(rng.integers(1, 4)))]
+    params = AecParams(context_len=k)
+    data = bytearray(encode(contours, params))
+    payload_start = len(data) - payload_bits(bytes(data)) // 8 - 1
+    pos, length = ff_run
+    pos = payload_start + pos % (len(data) - payload_start)
+    data[pos : pos + length] = b"\xff" * length
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    data = bytes(data)
+    try:
+        headers, _ = aec._read_stream(data)
+    except BitstreamError:
+        headers = []
+    # an edited u32 count may announce billions of symbols
+    assume(sum(nsyms for _, _, nsyms in headers) <= 20_000)
+    assert decode_or_error(decode, data, params) == decode_or_error(reference_decode, data, params)
+
+
+def test_ff_payload_drives_the_scaled_code_past_the_total():
+    # code - low just below the range: the scaled code diff // r passes
+    # 2^16 - 1 in the top turn's rounding slack, which decodes as r
+    params = AecParams()
+    data = aec._MAGIC + b"\x00\x01" + aec._HEADER.pack(0, 0, 0, 500) + b"\xff" * 64 + b"\x00"
+    dec = ReferenceRangeDecoder(aec._read_stream(data)[1])
+    assert decode(data, params) == reference_decode(data, params, dec)
+    assert dec.clamped > 0
 
 
 # cumulative bounds that force long runs of shifted bytes, 0xFF runs and
 # carries: a symbol of width 5 or 1, and the even split of a window shorter than K
-EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), context_model(AecParams())[("E",)][1]]
+EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), cumulative(context_model(AecParams())[("E",)][1])]
+
+
+def scripted_model(symbols):
+    """A model whose window i holds the spans of the i-th (cumulative bounds,
+    symbol) pair and steps to window i + 1 on every turn, and the turns of
+    the symbols: one run codes the symbols in order."""
+    model = {i: (None, dict(zip("lsr", zip(cum, cum[1:]))), dict.fromkeys("lsr", i + 1)) for i, (cum, _) in enumerate(symbols)}
+    return model, "".join("lsr"[sym] for _, sym in symbols)
+
+
+def code_run(symbols):
+    """The stream of one run-level encoder run, checked against the
+    reference encoder, and the run's model and turns."""
+    model, turns = scripted_model(symbols)
+    new, ref = RangeEncoder(), ReferenceRangeEncoder()
+    new.encode_turns(model, 0, turns)
+    for cum, sym in symbols:
+        ref.encode(cum[sym], cum[sym + 1], 65536)
+    data = new.finish()
+    assert data == ref.finish()
+    return data, model, turns
 
 
 @st.composite
@@ -430,34 +547,33 @@ def coded_symbols(draw):
     return draw(st.lists(st.tuples(st.sampled_from(cums), st.integers(0, 2)), max_size=400))
 
 
+def carry_chain_symbols(rng):
+    """Runs of narrow symbols, each followed by a wide one that pushes a carry
+    through every pending 0xFF byte."""
+    symbols = []
+    for _ in range(int(rng.integers(100, 3000))):
+        cum = EXTREME_CUMS[int(rng.integers(0, 4))]
+        symbols.append((cum, int(rng.choice(3, p=[0.05, 0.05, 0.9]))))
+    return symbols
+
+
 class TestRangeEncoder:
     @settings(max_examples=300)
     @given(coded_symbols())
     def test_same_bytes_as_reference(self, symbols):
-        new, ref = RangeEncoder(), ReferenceRangeEncoder()
-        for cum, sym in symbols:
-            new.encode(cum[sym], cum[sym + 1], 65536)
-            ref.encode(cum[sym], cum[sym + 1], 65536)
-        assert new.finish() == ref.finish()
+        code_run(symbols)
 
     def test_long_carry_chains_match_reference(self):
-        # the widest symbol right after a run of narrow ones pushes a carry
-        # through every pending 0xFF byte
         rng = np.random.default_rng(7)
         for _ in range(20):
-            new, ref = RangeEncoder(), ReferenceRangeEncoder()
-            for _ in range(int(rng.integers(100, 3000))):
-                cum = EXTREME_CUMS[int(rng.integers(0, 4))]
-                sym = int(rng.choice(3, p=[0.05, 0.05, 0.9]))
-                new.encode(cum[sym], cum[sym + 1], 65536)
-                ref.encode(cum[sym], cum[sym + 1], 65536)
-            assert new.finish() == ref.finish()
+            code_run(carry_chain_symbols(rng))
 
     def test_carry_runs_back_through_written_ff_bytes(self):
         # keep the coded interval straddling 1/2, so the bytes written are
         # 0x7F and then only 0xFF; a symbol above 1/2 then carries back
-        # through every one of them
+        # through every one of them.  Each symbol is a run of one turn.
         cum = EXTREME_CUMS[-1]
+        model, _ = scripted_model([(cum, 0)])
         new, ref = RangeEncoder(), ReferenceRangeEncoder()
 
         def interval(sym):
@@ -468,7 +584,7 @@ class TestRangeEncoder:
         def code(pick):
             half = 1 << (ref._bits - 1)
             sym = next(s for s in range(3) if pick(half, *interval(s)))
-            new.encode(cum[sym], cum[sym + 1], 65536)
+            new.encode_turns(model, 0, "lsr"[sym])
             ref.encode(cum[sym], cum[sym + 1], 65536)
 
         for _ in range(80):
@@ -477,3 +593,17 @@ class TestRangeEncoder:
         code(lambda half, lo, hi: half <= lo)
         assert bytes(new._out[:15]) == b"\x80" + b"\x00" * 14
         assert new.finish() == ref.finish()
+
+
+class TestRangeDecoder:
+    @settings(max_examples=300)
+    @given(coded_symbols())
+    def test_round_trip_of_extreme_runs(self, symbols):
+        data, model, turns = code_run(symbols)
+        assert RangeDecoder(data).decode_turns(model, 0, len(turns)) == turns
+
+    def test_round_trip_of_carry_chains(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            data, model, turns = code_run(carry_chain_symbols(rng))
+            assert RangeDecoder(data).decode_turns(model, 0, len(turns)) == turns

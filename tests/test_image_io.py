@@ -3,10 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import format_scene_spec
+from contourcodec import image_io
 from contourcodec.contour import detect_contours
 from contourcodec.image_io import (
     ColorImage,
@@ -214,6 +215,35 @@ def test_every_texture_style_renders(texture):
     assert color.pixels.shape == (80, 96, 3)
     assert rcolor.pixels.shape == (80, 96, 3)
     assert detect_contours(depth, 30)
+
+
+def float_box_blur(a: np.ndarray, k: int) -> np.ndarray:
+    """The k x k box blur by float cumulative sums along each axis, edges
+    repeated, that the noise texture was first made with."""
+    out = a.astype(float)
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (k // 2, k - k // 2 - 1)
+        ap = np.pad(out, pad, mode="edge")
+        c = np.cumsum(ap, axis=axis)
+        c = np.concatenate([np.zeros_like(np.take(c, [0], axis=axis)), c], axis=axis)
+        hi = np.take(c, range(k, c.shape[axis]), axis=axis)
+        lo = np.take(c, range(0, c.shape[axis] - k), axis=axis)
+        out = (hi - lo) / k
+    return out
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.integers(1, 40), w=st.integers(1, 700), base=st.lists(st.integers(0, 255), min_size=3, max_size=3))
+@example(seed=0, h=1, w=1, base=[88, 96, 104])
+@example(seed=1, h=1, w=700, base=[0, 128, 255])
+@example(seed=2, h=40, w=1, base=[40, 215, 100])
+@settings(max_examples=60, deadline=None)
+def test_noise_texture_matches_the_float_cumsum_blur(seed, h, w, base):
+    raw = np.random.default_rng(seed).integers(-70, 71, size=(h, w, 3)).astype(float)
+    blurred = np.stack([float_box_blur(raw[..., i], 3) for i in range(3)], axis=-1)
+    expected = np.clip(np.rint(np.reshape(base, (1, 1, 3)) + blurred), 0, 255).astype(np.uint8)
+    got = image_io._texture(np.random.default_rng(seed), h, w, base, "noise")
+    assert got.dtype == np.uint8 and np.array_equal(got, expected)
 
 
 def test_pixel_shift_rounds_half_to_even_on_arrays_and_scalars():
