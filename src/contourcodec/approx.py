@@ -10,6 +10,13 @@ re-optimizing the pair inside their joint rectangle, plus the cost of
 projecting out-of-rectangle original edges onto it, beats the pair's summed
 cost.
 
+The inter-view bound: a shifted edge costs at least the proxy's weight, so
+a segment whose original path costs less than the weight keeps it (every
+other path shifts an edge), and a merge whose weight * shift^2 terms alone
+reach the pair's cost is refused; neither runs the DP or fills a row.  On
+the right view, priced with ``interview_weight``, this settles every
+segment with lambda * bits below the weight.
+
 The segment DP runs over dense states (``approximate_segment`` defines them
 and their tie rule).  For a segment of V vertical moves each anti-diagonal
 is one 2^K x (V + 2) cost table, updated by four ufunc calls: add the rate
@@ -138,6 +145,14 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     mask).  No mask bounds the horizontal moves: a state past H never
     reaches the end corner.
 
+    The inter-view bound settles a segment without the DP: when the
+    original path may start after the prior and end here, and costs less
+    than the proxy's weight, it is returned with its cost.  A path cheaper
+    than the weight moves no edge, and every other path moves one, so it
+    costs at least the weight; the original is the unique optimum, and no
+    tie rule applies.  With the inter-view weight of the right view this
+    holds whenever lambda * bits < weight.
+
     Returns (approximated Segment, RdCost).
     """
     model = context_model(cfg.aec)
@@ -158,6 +173,13 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     if blocked and (v_count, h_count)[1 - blocked[0]] == 0:
         raise ValueError("unreachable endpoint: malformed segment")
 
+    proxy = row_proxy(color, cfg.swim)
+    # the inter-view bound (see the docstring); with weight 0 it never holds
+    if proxy.weight > 0 and seg.dirs[0] in model[prior][0] and seg.dirs[-1] != forbidden_last:
+        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg)
+        if original.total < proxy.weight:
+            return seg, original
+
     # rate of each move from each window: layer t < K reads the prior's tail
     # and the t moves of m, every later layer the K moves of m
     k = cfg.aec.context_len
@@ -176,7 +198,6 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         rate[0, 0, 0, move] = math.inf
 
     # vertical row costs by (i + 1, j), zero past H and in the sentinel row 0
-    proxy = row_proxy(color, cfg.swim)
     p0, q0 = seg.start
     dp_v = DIR_VECTOR[moves[0]][0]
     dq_h = DIR_VECTOR[moves[1]][1]
@@ -283,14 +304,22 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     including the merge distortion) when the merge strictly lowers their
     sum, else None; the projected segment is the pair on its joint
     rectangle, the original that later merges re-optimize.
+
+    Every shift of the projection is nonzero, so the sum of its weight *
+    shift^2 terms, taken in the order of the projection's price, bounds that
+    price from below; when it reaches the pair's cost, None is returned
+    before any row is priced.
     """
     proxy = row_proxy(color, cfg.swim)
     projection = project_onto_rectangle(a, b)
     if projection is None:
         return None
     projected, shifts = projection
+    pair = cost_a.total + cost_b.total
+    if sum(proxy.weight * (q_proj - q_orig) ** 2 for _, q_orig, q_proj in shifts) >= pair:
+        return None
     merge_d = sum(proxy.edge_costs(row, q_orig, (q_proj,))[0] for row, q_orig, q_proj in shifts)
-    if merge_d >= cost_a.total + cost_b.total:  # every DP cost is >= 0, so the merge cannot win
+    if merge_d >= pair:  # every DP cost is >= 0, so the merge cannot win
         return None
     try:
         mseg, mcost = approximate_segment(
@@ -299,7 +328,7 @@ def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig,
     except ValueError:
         return None
     total = mcost.total + merge_d  # infinite when no merged path is finite, so never cheaper
-    if total < cost_a.total + cost_b.total:
+    if total < pair:
         return projected, mseg, RdCost(mcost.distortion + merge_d, mcost.rate, total)
     return None
 

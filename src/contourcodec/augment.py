@@ -37,12 +37,19 @@ def side_parity(contour: Contour, height: int, width: int) -> np.ndarray:
     the pixel's column, row by row; raises ValueError for a contour that
     leaves the image."""
     contour.check_inside(height, width)
-    counts = np.zeros((height, width + 1), np.int32)
-    for vertical, row, col in cracks(contour.start, contour.absolute_dirs()):
-        if vertical:
-            counts[row, col] += 1
+    edges = [(row, col) for vertical, row, col in cracks(contour.start, contour.absolute_dirs()) if vertical]
+    side = np.zeros((height, width), np.uint8)
+    if not edges:
+        return side
+    # rows without a vertical edge stay 0; every column is summed, since an
+    # open contour can leave odd parity up to the image's right edge
+    rows, cols = np.array(edges).T
+    first = rows.min()
+    counts = np.zeros((rows.max() + 1 - first, width + 1), np.int32)
+    np.add.at(counts, (rows - first, cols), 1)
     # pixel (r, c) lies right of an edge at column qe iff qe <= c
-    return (np.cumsum(counts, axis=1)[:, :-1] % 2).astype(np.uint8)
+    side[first : first + len(counts)] = np.cumsum(counts, axis=1)[:, :-1] % 2
+    return side
 
 
 def augment_depth(depth: DepthImage, original: Contour, approximated: Contour):

@@ -299,10 +299,22 @@ def trace_edge_maps(vert, horiz):
             raise ValueError("doubling back")
         return Contour(divmod(lo, w1), ABSOLUTE[codes[0]], rest)
 
+    def next_corner(j):
+        """The first corner >= j that has an edge, or -1.  A find never
+        starts below 0, where it would count from the end."""
+        found = [k + off for m, off in ((V, 0), (H, 0), (H, 1), (V, w1)) if (k := m.find(1, max(j - off, 0))) >= 0]
+        return min(found, default=-1)
+
     contours = []
-    for open_ends in (True, False):
-        while seeds := np.flatnonzero(degrees() == 1 if open_ends else degrees()).tolist():
-            contours += [walk(i) for i in seeds if V[i] or H[i] or H[i - 1] or V[i - w1]]
+    while seeds := np.flatnonzero(degrees() == 1).tolist():
+        contours += [walk(i) for i in seeds if V[i] or H[i] or H[i - 1] or V[i - w1]]
+    # corners never gain edges, so scanning ahead for the next corner that
+    # still has one visits the corners each closed pass would test; a scan
+    # that runs off the end starts the next pass
+    i = 0
+    while (i := next_corner(i)) >= 0 or (i := next_corner(0)) >= 0:
+        contours.append(walk(i))
+        i += 1
     return contours
 
 

@@ -237,18 +237,22 @@ class RowProxy:
         self.weight = weight
         self._shifts = {}
 
+    def _check_range(self, row: int, window_start: int) -> None:
+        h, w = self.lum.shape
+        if not 0 <= row < h:
+            raise ValueError("row out of image")
+        if window_start < 0 or window_start + self.cfg.block > w:
+            raise ValueError("window out of image")
+
     def _vector(self, row: int, window_start: int) -> list:
         """Distortions of shifting the edge by -W..W columns, indexed by
         shift + W; inf where the comparison window leaves the image."""
         key = (row, window_start)
         out = self._shifts.get(key)
         if out is None:
-            h, w = self.lum.shape
+            self._check_range(row, window_start)
+            w = self.lum.shape[1]
             n, win = self.cfg.block, self.cfg.window
-            if not 0 <= row < h:
-                raise ValueError("row out of image")
-            if window_start < 0 or window_start + n > w:
-                raise ValueError("window out of image")
             # one haar_row pass over the in-image windows start - W .. start + W;
             # C-contiguous magnitudes sum each window in the pairwise order
             # laplace_fit uses on one window, so the scales are bit-equal
@@ -267,8 +271,16 @@ class RowProxy:
     def edge_costs(self, row: int, q_orig: int, columns) -> list:
         """Cost of moving the vertical edge in ``row`` from ``q_orig`` to each
         of ``columns``: the distortion at ``q_orig``'s window anchor plus
-        weight * shift^2, or inf for a shift beyond the match window."""
-        vector = self._vector(row, window_anchor(q_orig, self.lum.shape[1], self.cfg.block))
+        weight * shift^2, or inf for a shift beyond the match window.
+
+        A zero shift costs exactly 0.0: a window against itself gives
+        ``laplace_ks`` 0.0, and weight * 0 is 0.0.  So when every column is
+        ``q_orig`` the row is range-checked but not filled."""
+        window_start = window_anchor(q_orig, self.lum.shape[1], self.cfg.block)
+        if columns.count(q_orig) == len(columns):
+            self._check_range(row, window_start)
+            return [0.0] * len(columns)
+        vector = self._vector(row, window_start)
         win, weight = self.cfg.window, self.weight
         return [vector[s + win] + weight * s ** 2 if -win <= (s := q - q_orig) <= win else math.inf for q in columns]
 

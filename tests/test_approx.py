@@ -30,7 +30,9 @@ from contourcodec.contour import (
     segment_vertical_columns,
     split_segments,
 )
-from contourcodec.image_io import ColorImage, DepthImage
+from contourcodec.augment import approximate_stereo
+from contourcodec.config import PipelineConfig
+from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene
 from contourcodec.swim import (
     RowProxy,
     SwimConfig,
@@ -183,8 +185,9 @@ def tie_heavy_cases(draw):
     """Segment DP inputs where many paths cost the same: mostly flat color
     (every finite row cost 0), lambda 0 or > 0, K 1-5, prior windows that
     may block the first move, forbidden last moves, proxies with penalty
-    weights, and match windows narrow enough (or original columns far enough
-    away) for infinite row costs."""
+    weights below and above the original path's cost, and match windows
+    narrow enough (or original columns far enough away) for infinite row
+    costs."""
     k = draw(st.integers(1, 5))
     dir_v, dir_h = draw(st.sampled_from("SN")), draw(st.sampled_from("EW"))
     v = draw(st.integers(0, 6))
@@ -202,7 +205,9 @@ def tie_heavy_cases(draw):
         aec=AecParams(context_len=k),
         swim=SwimConfig(block=8, window=draw(st.sampled_from([1, 2, 4, 10]))),
     )
-    proxy = RowProxy(color, cfg.swim, draw(st.sampled_from([0.0, 1.0, 1e6])))
+    # weights on both sides of lambda * bits, so the inter-view bound both
+    # settles segments and leaves them to the DP
+    proxy = RowProxy(color, cfg.swim, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0, 1e6])))
     options = dict(forbidden_last=draw(st.sampled_from([None, "N", "E", "S", "W"])))
     return (seg, prior, proxy, cols, cfg), options
 
@@ -476,6 +481,81 @@ class TestMerge:
         res = merge_segments(a, b, (), proxy, cfg, **costs)
         assert len(calls) == dp_calls
         assert res is None or res[2].total < merge_d + excess
+
+
+def counted_fills(monkeypatch):
+    """Record (weight, row, window start) of every ``RowProxy._vector`` call;
+    on a fresh proxy the first call for a row fills it."""
+    fills = []
+    vector = RowProxy._vector
+
+    def counted(self, row, window_start):
+        fills.append((self.weight, row, window_start))
+        return vector(self, row, window_start)
+
+    monkeypatch.setattr(RowProxy, "_vector", counted)
+    return fills
+
+
+class TestInterviewBound:
+    """Every other path of a segment shifts some row's edge, and a merge
+    prices every shift it makes: where the weight alone settles the outcome,
+    no row is filled and no DP runs."""
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_segment_cheaper_than_the_weight_fills_no_row(self, rng, monkeypatch, above):
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 20), ("S", "E"), "SEESSEES")
+        cols = segment_vertical_columns(seg)
+        cfg = small_cfg(2.0)
+        # the original's edges do not move, so its cost is lambda * bits
+        rate_cost = segment_path_cost(seg, seg.dirs, (), RowProxy(color, cfg.swim), cols, cfg).total
+        assert 0.0 < rate_cost < math.inf
+        weight = math.nextafter(rate_cost, math.inf) if above else rate_cost
+        reference = _outcome(dict_dp_segment, (seg, (), RowProxy(color, cfg.swim, weight), cols, cfg), {})
+        fills = counted_fills(monkeypatch)
+        assert _outcome(approximate_segment, (seg, (), RowProxy(color, cfg.swim, weight), cols, cfg), {}) == reference
+        assert (fills == []) == above
+        if above:
+            assert reference[0] == seg
+
+    @pytest.mark.parametrize("excess, filled", [(0.0, False), (1e-6, True)])
+    def test_pair_whose_weighted_shifts_cost_the_pair_fills_no_row(self, rng, monkeypatch, excess, filled):
+        """The merge of the deep detour moves two edges by 4 columns each:
+        at weight 3 they cost 96 before any distortion.  A pair that costs
+        96 is settled by the weights alone; one that costs a little more has
+        the projection priced, which costs more than the pair, as before."""
+        color = textured_color(rng, 48, 64)
+        a = Segment((16, 20), ("S", "E"), "EEEEEESS")
+        b = Segment((18, 26), ("S", "W"), "WWWWSS")
+        shifts = project_onto_rectangle(a, b)[1]
+        assert [qp - qo for _, qo, qp in shifts] == [-4, -4]
+        cfg = small_cfg(0.0)
+        merge_d = sum(RowProxy(color, cfg.swim, 3.0).edge_costs(row, qo, (qp,))[0] for row, qo, qp in shifts)
+        assert 96.0 + excess < merge_d < math.inf
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return approximate_segment(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "approximate_segment", counted)
+        fills = counted_fills(monkeypatch)
+        costs = dict(cost_a=RdCost(0.0, 0.0, 48.0), cost_b=RdCost(0.0, 0.0, 48.0 + excess))
+        res = merge_segments(a, b, (), RowProxy(color, cfg.swim, 3.0), cfg, **costs)
+        assert res is None and calls == []
+        assert (fills != []) == filled
+
+    @pytest.mark.parametrize("lagrange", [0.0, 2.0, 8.0])
+    def test_readme_right_view_fills_no_row(self, monkeypatch, lagrange):
+        spec = SceneSpec(width=128, height=96, jitter=2, texture="noise")
+        left, right = make_synthetic_scene(2, spec)
+        config = PipelineConfig(seed=2)
+        fills = counted_fills(monkeypatch)
+        res = approximate_stereo(left, right, config.approx_config(lagrange), threshold=config.threshold, scale=spec.value_scale)
+        assert res.right.original_contours
+        assert [f for f in fills if f[0] != 0.0] == []
+        assert any(f[0] == 0.0 for f in fills)  # the left view still runs its DP
 
 
 class TestApproximateContour:

@@ -22,7 +22,7 @@ from contourcodec.augment import (
 )
 from contourcodec.cli import psnr
 from contourcodec.config import PipelineConfig
-from contourcodec.contour import OPPOSITE, detect_contours, to_relative
+from contourcodec.contour import DIR_VECTOR, OPPOSITE, cracks, detect_contours, to_relative
 from contourcodec.image_io import ColorImage, DepthImage, SceneSpec, make_synthetic_scene, pixel_shift, render_scene_view
 from contourcodec.swim import SwimConfig
 
@@ -105,6 +105,49 @@ class TestAugmentDepth:
         assert flips.tolist() == [[False, True], [True, True]]
         assert out.pixels.tolist() == [[10, 10], [10, 40]]
         assert caplog.messages == ["no donor found for flipped pixel (1, 1); value kept"]
+
+
+def reference_side_parity(contour, height, width):
+    """One whole-image cumsum of the vertical-edge counts, as side_parity
+    computed it before it summed only the contour's rows."""
+    contour.check_inside(height, width)
+    counts = np.zeros((height, width + 1), np.int32)
+    for vertical, row, col in cracks(contour.start, contour.absolute_dirs()):
+        if vertical:
+            counts[row, col] += 1
+    return (np.cumsum(counts, axis=1)[:, :-1] % 2).astype(np.uint8)
+
+
+@st.composite
+def contours_in_image(draw):
+    """(contour, height, width): a closed rectangle, or an open crack walk
+    of 1-60 steps that never steps straight back and stays on the lattice,
+    so it may touch itself, run along the border or end anywhere."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        p0, p1 = sorted(draw(st.sets(st.integers(0, h), min_size=2, max_size=2)))
+        q0, q1 = sorted(draw(st.sets(st.integers(0, w), min_size=2, max_size=2)))
+        dirs = "E" * (q1 - q0) + "S" * (p1 - p0) + "W" * (q1 - q0) + "N" * (p1 - p0)
+        return to_relative((p0, q0), dirs), h, w
+    start = p, q = draw(st.integers(0, h)), draw(st.integers(0, w))
+    dirs = []
+    for _ in range(draw(st.integers(1, 60))):
+        options = [
+            d for d, (dp, dq) in DIR_VECTOR.items()
+            if (not dirs or d != OPPOSITE[dirs[-1]]) and 0 <= p + dp <= h and 0 <= q + dq <= w
+        ]
+        dirs.append(draw(st.sampled_from(options)))  # every corner has two lattice neighbours
+        p, q = p + DIR_VECTOR[dirs[-1]][0], q + DIR_VECTOR[dirs[-1]][1]
+    return to_relative(start, dirs), h, w
+
+
+@settings(max_examples=300)
+@given(contours_in_image())
+def test_side_parity_matches_the_whole_image_cumsum(case):
+    contour, h, w = case
+    side = side_parity(contour, h, w)
+    assert side.dtype == np.uint8
+    assert np.array_equal(side, reference_side_parity(contour, h, w))
 
 
 class TestAugmentColor:
