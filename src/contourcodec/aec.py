@@ -8,20 +8,23 @@ distance from the candidate edge's end point to the line.  Normalizing over
 the three relative symbols cancels the von-Mises constant.
 
 Every edge is priced by the context model of its parameter set
-(:func:`context_model`): one lazily filled table keyed by the window, the
-last K absolute directions coded (all of them while fewer are).  An entry
-holds the bits of each allowed next direction or turn, the range coder's
-interval of each turn and the window after each next direction or turn, so
-callers step from window to window.  The empty window prices the first
-edge of a contour at 2 bits for each of the four directions (that direction
-is carried in the bitstream header); a window shorter than K is uniform
-over its three non-reversing directions; a full window fits the geometric
-model.  Rate estimation, the contour DP, encoding and decoding all read
-that one table, so the rate the DP minimizes is the rate the coder spends.
+(:func:`context_model`), which numbers its windows: a window is the last K
+absolute directions coded (all of them while fewer are), and its id indexes
+a plain list of entries, each filled on first use.  An entry holds the bits
+of each allowed next direction or turn, the range coder's interval of each
+turn and the id of the window after each next direction or turn, so callers
+step from id to id and only the fill builds a window.  The empty window, id
+0, prices the first edge of a contour at 2 bits for each of the four
+directions (that direction is carried in the bitstream header); a window
+shorter than K is uniform over its three non-reversing directions; a full
+window fits the geometric model.  Rate estimation, the contour DP, encoding
+and decoding all read that one list, so the rate the DP minimizes is the
+rate the coder spends.
 
 The range coder codes each turn in an interval of cumulative frequencies
 out of a fixed total of 2^16.  One coder call codes the turns of a whole
-contour, stepping from window to window with the coder state in locals.
+contour, stepping from window id to window id with the coder state in
+locals.
 
 Bitstream layout (all integers big-endian):
 magic "AEC1" | u16 contour count | per contour: u16 p, u16 q,
@@ -173,34 +176,55 @@ def _quantize(probs) -> tuple:
     return tuple(freqs)
 
 
-class ContextModel(dict):
-    """The context model of one parameter set: ``{window: (bits, spans, after)}``,
-    each entry computed on first use by the rules of the module docstring.
+class ContextModel:
+    """The context model of one parameter set, its windows numbered.
 
-    ``bits`` maps each allowed next absolute direction, and for a non-empty
-    window each turn ``l``, ``s``, ``r``, to ``-log2`` of its probability;
-    ``spans`` maps each turn to its range-coder interval ``(lo, hi)`` of
-    cumulative frequencies out of 2^16, the turns in the order l, s, r, or
-    is None for the empty window; ``after`` maps each absolute direction, and
-    for a non-empty window each turn, to the next window.  The model is
-    translation invariant, so a full window's entry fits its polyline with
-    the head at the origin.
+    ``windows[i]`` is the tuple of window i, id 0 the empty window, and
+    ``entries[i]`` its entry ``(bits, spans, after)``, or None until
+    :meth:`fill` computes it by the rules of the module docstring; a caller
+    steps ids and reads ``entries[i] or fill(i)``.  ``bits`` maps each
+    allowed next absolute direction, and for a non-empty window each turn
+    ``l``, ``s``, ``r``, to ``-log2`` of its probability; ``spans`` maps each
+    turn to its range-coder interval ``(lo, hi)`` of cumulative frequencies
+    out of 2^16, the turns in the order l, s, r, or is None for the empty
+    window; ``after`` maps each absolute direction, and for a non-empty
+    window each turn, to the id of the next window.  :meth:`fill` is the one
+    place that cuts a window to its last K directions, and :meth:`id` the one
+    way from a window's tuple to its id.  The model is translation invariant,
+    so a full window's entry fits its polyline with the head at the origin.
     """
 
     def __init__(self, params: AecParams):
-        super().__init__()
         self.params = params
+        self.windows = []
+        self.entries = []
+        self._ids = {}  # the numbering: window tuple -> id, read only by id()
+        self.id(())
 
-    def walk(self, dirs, window: tuple = ()) -> tuple:
-        """The window after coding absolute directions ``dirs`` from ``window``."""
+    def id(self, window: tuple) -> int:
+        """The id of ``window``, at most K absolute directions, numbered on first use."""
+        i = self._ids.get(window)
+        if i is None:
+            if len(window) > self.params.context_len:
+                raise ValueError("window longer than context_len")
+            i = self._ids[window] = len(self.windows)
+            self.windows.append(window)
+            self.entries.append(None)
+        return i
+
+    def walk(self, dirs, window: int = 0) -> int:
+        """The id of the window after coding absolute directions ``dirs`` from window id ``window``."""
+        entries = self.entries
         for d in dirs:
-            window = self[window][2][d]
+            window = (entries[window] or self.fill(window))[2][d]
         return window
 
-    def __missing__(self, window: tuple) -> tuple:
-        after = {d: (window + (d,))[-self.params.context_len :] for d in ABSOLUTE}
+    def fill(self, i: int) -> tuple:
+        """Compute, store and return the entry of window id ``i``."""
+        window = self.windows[i]
+        after = {d: self.id((window + (d,))[-self.params.context_len :]) for d in ABSOLUTE}
         if not window:
-            entry = self[window] = (dict.fromkeys(ABSOLUTE, 2.0), None, after)
+            entry = self.entries[i] = (dict.fromkeys(ABSOLUTE, 2.0), None, after)
             return entry
         last = window[-1]
         after.update((rel, after[turn(last, rel)]) for rel in "lsr")
@@ -213,7 +237,7 @@ class ContextModel(dict):
         bits.update((rel, bits[turn(last, rel)]) for rel in "lsr")
         a, b, _ = accumulate(_quantize([probs[rel] for rel in "lsr"]))
         spans = {"l": (0, a), "s": (a, b), "r": (b, _FREQ_TOTAL)}
-        entry = self[window] = (bits, spans, after)
+        entry = self.entries[i] = (bits, spans, after)
         return entry
 
 
@@ -227,11 +251,12 @@ def estimate_rate(contour: Contour, params: AecParams) -> float:
     """Entropy estimate in bits of coding one contour, each edge priced by
     the context model from the window of the edges before it."""
     model = context_model(params)
-    first_bits, _, after = model[()]
+    entries, fill = model.entries, model.fill
+    first_bits, _, after = entries[0] or fill(0)
     bits = first_bits[contour.first]
     window = after[contour.first]
     for rel in contour.rest:
-        window_bits, _, after = model[window]
+        window_bits, _, after = entries[window] or fill(window)
         bits += window_bits[rel]
         window = after[rel]
     return bits
@@ -263,11 +288,12 @@ class RangeEncoder:
         self._range = 1 << 32
         self._out = bytearray()
 
-    def encode_turns(self, model: ContextModel, window: tuple, turns: str) -> None:
-        """Code ``turns``, the first from the entry of ``window``."""
+    def encode_turns(self, model: ContextModel, window: int, turns: str) -> None:
+        """Code ``turns``, the first from the entry of window id ``window``."""
         low, rng, out = self._low, self._range, self._out
+        entries, fill = model.entries, model.fill
         for rel in turns:
-            _, spans, after = model[window]
+            _, spans, after = entries[window] or fill(window)
             lo, hi = spans[rel]
             r = rng >> _FREQ_BITS
             rng = rng - r * lo if hi == _FREQ_TOTAL else r * (hi - lo)
@@ -308,12 +334,13 @@ class RangeDecoder:
         self._range = 1 << 32
         self._diff = int.from_bytes(bytes(islice(self._bytes, 4)), "big")
 
-    def decode_turns(self, model: ContextModel, window: tuple, count: int) -> str:
-        """Decode ``count`` turns, the first from the entry of ``window``."""
+    def decode_turns(self, model: ContextModel, window: int, count: int) -> str:
+        """Decode ``count`` turns, the first from the entry of window id ``window``."""
         rng, diff, read = self._range, self._diff, self._bytes.__next__
+        entries, fill = model.entries, model.fill
         turns = []
         for _ in range(count):
-            _, spans, after = model[window]
+            _, spans, after = entries[window] or fill(window)
             a, b = spans["s"]
             r = rng >> _FREQ_BITS
             t = diff // r

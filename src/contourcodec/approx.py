@@ -19,10 +19,10 @@ segment with lambda * bits below the weight.
 
 The segment DP runs over dense states (``approximate_segment`` defines them
 and their tie rule).  For a segment of V vertical moves each anti-diagonal
-is one 2^K x (V + 2) cost table, updated by four ufunc calls: add the rate
-of each (window, move), add the row cost of each vertical move, compare the
-two parents a state can have and keep the smaller.  Nothing is built or
-kept per segment shape.
+is one 2^K x (V + 2) cost table, K capped at the segment's length, updated
+by four ufunc calls: add the rate of each (window, move), add the row cost
+of each vertical move, compare the two parents a state can have and keep
+the smaller.  Nothing is built or kept per segment shape.
 
 Rate terms are read from the coder's own context model
 (``aec.context_model``), which prices every edge from the window of the
@@ -98,12 +98,13 @@ def segment_path_cost(seg: Segment, dirs, prior_dirs, color, vertical_columns, c
     ValueError when an edge doubles back."""
     proxy = row_proxy(color, cfg.swim)
     model = context_model(cfg.aec)
+    entries, fill = model.entries, model.fill
     window = model.walk(prior_dirs)
     total = 0.0
     rate = 0.0
     dist = 0.0
     for d, (vertical, row, q) in zip(dirs, cracks(seg.start, dirs)):
-        window_bits, _, after = model[window]
+        window_bits, _, after = entries[window] or fill(window)
         bits = window_bits.get(d)
         if bits is None:
             raise ValueError("path doubles back")
@@ -132,7 +133,8 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     proxy.
 
     After t moves a state is (i, m): i vertical moves made and m the last
-    min(t, K) moves as bits (vertical 0, horizontal 1, newest in bit 0).
+    min(t, K) moves as bits (vertical 0, horizontal 1, newest in bit 0),
+    with K capped at the segment's length, the most moves m ever holds.
     Each anti-diagonal is one 2^K x (V + 2) cost table by (m, i + 1); its
     column 0 is an infinite sentinel, the parent of a vertical move into
     i = 0.  The two parents of a state differ only in the oldest move their
@@ -156,7 +158,9 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     Returns (approximated Segment, RdCost).
     """
     model = context_model(cfg.aec)
+    entries, fill = model.entries, model.fill
     prior = model.walk(prior_dirs)
+    prior_dirs = model.windows[prior]  # only the last K count
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     first_row, end_row = sorted((seg.start[0], segment_endpoint(seg)[0]))
@@ -169,30 +173,33 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     length = seg.length
     h_count = length - v_count
     # a first move back against the prior's last direction is never taken
-    blocked = [move for move, d in enumerate(moves) if d not in model[prior][0]]
+    first_bits = (entries[prior] or fill(prior))[0]
+    blocked = [move for move, d in enumerate(moves) if d not in first_bits]
     if blocked and (v_count, h_count)[1 - blocked[0]] == 0:
         raise ValueError("unreachable endpoint: malformed segment")
 
     proxy = row_proxy(color, cfg.swim)
     # the inter-view bound (see the docstring); with weight 0 it never holds
-    if proxy.weight > 0 and seg.dirs[0] in model[prior][0] and seg.dirs[-1] != forbidden_last:
-        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg)
+    if proxy.weight > 0 and seg.dirs[0] in first_bits and seg.dirs[-1] != forbidden_last:
+        original = segment_path_cost(seg, seg.dirs, prior_dirs, proxy, vertical_columns, cfg)
         if original.total < proxy.weight:
             return seg, original
 
     # rate of each move from each window: layer t < K reads the prior's tail
-    # and the t moves of m, every later layer the K moves of m
-    k = cfg.aec.context_len
+    # and the t moves of m, every later layer the K moves of m.  A window of
+    # the segment's moves never holds more than all of them, so masks at or
+    # past 2^length are unreachable and K is capped at the length.
+    k = min(cfg.aec.context_len, length)
     masks = 1 << k
     half = masks >> 1
     windows = [prior]
     bits = []
     for _ in range(min(k, length - 1) + 1):
-        entries = [model[window] for window in windows]
-        for window_bits, _, _ in entries:
+        layer = [entries[window] or fill(window) for window in windows]
+        for window_bits, _, _ in layer:
             bits += [window_bits.get(moves[0], 0.0), window_bits.get(moves[1], 0.0)]
         bits += [0.0] * (2 * (masks - len(windows)))  # windows of unreached masks
-        windows = [after[d] for _, _, after in entries for d in moves]
+        windows = [after[d] for _, _, after in layer for d in moves]
     rate = cfg.lagrange * np.array(bits).reshape(-1, 2, half, 2, 1)  # (layer, m's oldest move, rest of m, move, i)
     for move in blocked:
         rate[0, 0, 0, move] = math.inf
@@ -238,7 +245,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         # reachable when a projected merge candidate leaves no finite path;
         # callers reject the infinite cost
         logger.debug("every candidate path has infinite distortion; keeping the original segment")
-        original = segment_path_cost(seg, seg.dirs, prior, proxy, vertical_columns, cfg)
+        original = segment_path_cost(seg, seg.dirs, prior_dirs, proxy, vertical_columns, cfg)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
     dirs = []
@@ -251,7 +258,7 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         i -= 1 - move
     dirs.reverse()
     result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior, proxy, vertical_columns, cfg)
+    cost = segment_path_cost(result, dirs, prior_dirs, proxy, vertical_columns, cfg)
     return result, cost
 
 
@@ -347,14 +354,14 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
     contour.check_inside(*proxy.lum.shape)
     model = context_model(cfg.aec)
     slots = []
-    recent = ()
+    recent = 0  # window id after the segments approximated so far
     originals = split_segments(contour)
     for i, seg in enumerate(originals):
         # ending against the next segment's original first step would force a
         # 180-degree turn at the seam (or push it onto edges beyond the match
         # window); the original seam direction always leaves a finite path
         forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
-        approx, cost = approximate_segment(seg, recent, proxy, segment_vertical_columns(seg), cfg, forbidden_last=forbidden)
+        approx, cost = approximate_segment(seg, model.windows[recent], proxy, segment_vertical_columns(seg), cfg, forbidden_last=forbidden)
         slots.append([seg, approx, cost])
         recent = model.walk(approx.dirs, recent)
 
@@ -363,11 +370,11 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
         while improved:
             improved = False
             i = 0
-            prior = ()  # context of the edges before slot i
+            prior = 0  # window id of the edges before slot i
             while i + 1 < len(slots):
                 forbidden = OPPOSITE[slots[i + 2][1].dirs[0]] if i + 2 < len(slots) else None
                 res = merge_segments(
-                    slots[i][0], slots[i + 1][0], prior, proxy, cfg,
+                    slots[i][0], slots[i + 1][0], model.windows[prior], proxy, cfg,
                     cost_a=slots[i][2], cost_b=slots[i + 1][2], forbidden_last=forbidden,
                 )
                 if res is None:

@@ -77,6 +77,12 @@ def contour_row_shifts(original: Contour, approximated: Contour):
     return [(row, by_row[row].popleft() if by_row[row] else q, q) for row, q in crossings(approximated)]
 
 
+def window_entry(model, window: tuple) -> tuple:
+    """The entry of a context-model window given by its tuple."""
+    i = model.id(window)
+    return model.entries[i] or model.fill(i)
+
+
 def payload_bits(data: bytes) -> int:
     """Length in bits of the arithmetic payload of an encoded stream."""
     return 8 * len(_read_stream(data)[1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import payload_bits, random_contour
+from conftest import payload_bits, random_contour, window_entry
 from contourcodec import aec
 from contourcodec.aec import (
     AecParams,
@@ -133,7 +133,7 @@ class TestContextModel:
         assert len(windows) == 4 * 3 ** (k - 1)
         for w in windows:
             probs = edge_probabilities(context_points((0, 0), w), w[-1], params)
-            bits, spans, _ = model[w]
+            bits, spans, _ = window_entry(model, w)
             dirs = [turn(w[-1], rel) for rel in "lsr"]
             assert list(bits) == dirs + list("lsr")
             assert [bits[d] for d in dirs] == [bits[rel] for rel in "lsr"] == [-math.log2(probs[rel]) for rel in "lsr"]
@@ -150,30 +150,68 @@ class TestContextModel:
         # the first edge is uniform over the four directions, and every edge
         # coded before K directions exist over the three non-reversing ones
         model = context_model(AecParams(context_len=k))
-        assert model[()][:2] == (dict.fromkeys(ABSOLUTE, 2.0), None)
+        assert window_entry(model, ())[:2] == (dict.fromkeys(ABSOLUTE, 2.0), None)
         freqs = aec._quantize((1 / 3,) * 3)
         for n in range(1, k):
             for w in full_windows(n):
-                bits, spans, _ = model[w]
+                bits, spans, _ = window_entry(model, w)
                 assert bits == dict.fromkeys([turn(w[-1], rel) for rel in "lsr"] + list("lsr"), math.log2(3.0))
                 assert spans == {"l": (0, freqs[0]), "s": (freqs[0], freqs[0] + freqs[1]), "r": (freqs[0] + freqs[1], 65536)}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_successors_keep_the_last_k_directions(self, k):
-        # every window reachable from () by successors, reversals included
+        # every window reachable from id 0 by successors, reversals included
         model = ContextModel(AecParams(context_len=k))
-        seen, todo = {()}, [()]
+        seen, todo = {0}, [0]
         while todo:
-            w = todo.pop()
-            after = model[w][2]
+            i = todo.pop()
+            w = model.windows[i]
+            after = window_entry(model, w)[2]
             assert sorted(after) == sorted(ABSOLUTE + ("lsr" if w else ""))
             for d in ABSOLUTE:
-                assert after[d] == (w + (d,))[-k:]
+                assert model.windows[after[d]] == (w + (d,))[-k:]
             for rel in "lsr" if w else "":
                 assert after[rel] == after[turn(w[-1], rel)]
             todo += set(after.values()) - seen
             seen |= set(after.values())
         assert len(seen) == sum(4 ** n for n in range(k + 1))
+
+    @settings(max_examples=200)
+    @given(k=st.integers(1, 5), dirs=st.text("NESW", max_size=40))
+    def test_numbered_windows(self, k, dirs):
+        model = ContextModel(AecParams(context_len=k))
+        # walking ids from 0, one direction at a time or all at once, lands
+        # on the window of the last K directions
+        window = 0
+        for n in range(len(dirs)):
+            window = model.walk(dirs[n], window)
+            assert model.windows[window] == tuple(dirs[: n + 1])[-k:]
+        assert model.walk(dirs) == window
+        # id() is one-to-one with windows
+        assert len(set(model.windows)) == len(model.windows) == len(model.entries)
+        assert [model.id(w) for w in model.windows] == list(range(len(model.windows)))
+        # a repeated walk reads the entries the first one filled
+        entry = model.entries[window] or model.fill(window)
+        filled = list(model.entries)
+        assert model.walk(dirs) == window
+        assert model.entries[window] is entry
+        assert all(a is b for a, b in zip(model.entries, filled))
+
+    def test_windows_longer_than_k_have_no_id(self):
+        with pytest.raises(ValueError, match="longer than context_len"):
+            ContextModel(AecParams(context_len=2)).id(("E", "E", "E"))
+
+    def test_coding_fills_only_the_windows_it_codes_from(self, rng, monkeypatch):
+        # K = 12 has 4^12 full windows; one 300-edge contour is coded from
+        # at most 300 of them
+        params = AecParams(context_len=12)
+        model = ContextModel(params)
+        monkeypatch.setattr(aec, "context_model", lambda _: model)
+        c = random_contour(rng, 300)
+        data = encode([c], params)
+        estimate_rate(c, params)
+        assert decode(data, params) == [c]
+        assert sum(e is not None for e in model.entries) <= 301
 
 
 class ReferenceRangeEncoder:
@@ -243,7 +281,7 @@ def reference_rate(contour, params):
     bits = 0.0
     recent = ()
     for d in contour.absolute_dirs():
-        bits += model[recent][0][d]
+        bits += window_entry(model, recent)[0][d]
         recent = (recent + (d,))[-k:]
     return bits
 
@@ -259,7 +297,7 @@ def reference_encode(contours, params):
     for c in contours:
         recent = (c.first,)
         for rel in c.rest:
-            cum = cumulative(model[recent][1])
+            cum = cumulative(window_entry(model, recent)[1])
             sym = "lsr".index(rel)
             enc.encode(cum[sym], cum[sym + 1], 65536)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
@@ -278,7 +316,7 @@ def reference_decode(data, params, dec=None):
         recent = (first,)
         rest = []
         for _ in range(nsyms):
-            rel = "lsr"[dec.decode(cumulative(model[recent][1]), 65536)]
+            rel = "lsr"[dec.decode(cumulative(window_entry(model, recent)[1]), 65536)]
             rest.append(rel)
             recent = (recent + (turn(recent[-1], rel),))[-k:]
         contours.append(Contour(start, first, "".join(rest)))
@@ -515,15 +553,15 @@ def test_ff_payload_drives_the_scaled_code_past_the_total():
 
 # cumulative bounds that force long runs of shifted bytes, 0xFF runs and
 # carries: a symbol of width 5 or 1, and the even split of a window shorter than K
-EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), cumulative(context_model(AecParams())[("E",)][1])]
+EXTREME_CUMS = [(0, 5, 10, 65536), (0, 65526, 65531, 65536), (0, 1, 2, 65536), (0, 65534, 65535, 65536), cumulative(window_entry(context_model(AecParams()), ("E",))[1])]
 
 
 def scripted_model(symbols):
     """A model whose window i holds the spans of the i-th (cumulative bounds,
     symbol) pair and steps to window i + 1 on every turn, and the turns of
     the symbols: one run codes the symbols in order."""
-    model = {i: (None, dict(zip("lsr", zip(cum, cum[1:]))), dict.fromkeys("lsr", i + 1)) for i, (cum, _) in enumerate(symbols)}
-    return model, "".join("lsr"[sym] for _, sym in symbols)
+    entries = [(None, dict(zip("lsr", zip(cum, cum[1:]))), dict.fromkeys("lsr", i + 1)) for i, (cum, _) in enumerate(symbols)]
+    return SimpleNamespace(entries=entries, fill=None), "".join("lsr"[sym] for _, sym in symbols)
 
 
 def code_run(symbols):

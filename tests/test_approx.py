@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import textured_color
+from conftest import textured_color, window_entry
 from contourcodec import approx
 from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
@@ -130,7 +131,7 @@ def dict_dp_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: Appr
         for state, cost in layer.items():
             recent, p, q = state
             last = recent[-1] if recent else None
-            bits = model[recent][0]
+            bits = window_entry(model, recent)[0]
             # vertical evaluated first (tie preference); a move into an
             # occupied state must be strictly cheaper to replace it
             if p != p_end and last != opp_v:
@@ -306,6 +307,26 @@ class TestPriorWindow:
         cfg = small_cfg(1.0)
         full = approximate_segment(seg, ("E", "E", "S", "E", "S"), color, cols, cfg)
         assert full == approximate_segment(seg, ("S", "E", "S"), color, cols, cfg)
+
+    def test_k_past_the_segment_length_sizes_the_dp_by_the_segment(self):
+        # masks at or past 2^length are unreachable, so K = 24 on a 12-edge
+        # segment needs 2^12 masks, not 2^24 (gigabytes); a 16-edge prior
+        # makes the windows full, and geometric, from the ninth move on
+        color = textured_color(np.random.default_rng(3), 40, 60)
+        seg = Segment((14, 22), ("S", "E"), "SESSEESESSEE")
+        cols = segment_vertical_columns(seg)
+        cfg = ApproxConfig(lagrange=1.0, aec=AecParams(context_len=24), swim=SwimConfig(block=8, window=4))
+        proxy = row_proxy(color, cfg.swim)
+        prior = tuple("SE" * 8)
+        expected = dict_dp_segment(seg, prior, proxy, cols, cfg)
+        assert approximate_segment(seg, prior, proxy, cols, cfg) == expected
+        tracemalloc.start()  # the model and the row memo are filled by now
+        try:
+            assert approximate_segment(seg, prior, proxy, cols, cfg) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestApproximateSegment:
