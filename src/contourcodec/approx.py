@@ -7,8 +7,10 @@ the proxy prices the edge's horizontal shift against the original edge in
 the same pixel row, its row distortion plus the inter-view penalty of the
 view the proxy was built for.  Adjacent segments are merged greedily when
 re-optimizing the pair inside their joint rectangle, plus the cost of
-projecting out-of-rectangle original edges onto it, beats the pair's summed
-cost.
+projecting the pair onto it, beats the pair's summed cost.  The projection
+keeps the edges whose crack lies inside the rectangle and drops the rest; it
+charges each vertical edge outside the rectangle's columns, kept or dropped,
+as a shift onto the nearer side, and a dropped one inside them nothing.
 
 The inter-view bound: a shifted edge costs at least the proxy's weight, so
 a segment whose original path costs less than the weight keeps it (every
@@ -53,14 +55,11 @@ from .contour import (
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
-    step,
 )
 # row_distortion is bound here for perfbench's test_wrappers_replace_every_binding_and_are_removed
 from .swim import SwimConfig, row_distortion, row_proxy  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-_DIRECTION_OF = {vector: d for d, vector in DIR_VECTOR.items()}
 
 
 @dataclass(frozen=True)
@@ -263,13 +262,21 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
 
 
 def project_onto_rectangle(a: Segment, b: Segment):
-    """Project the pair's edges onto the rectangle spanned by a's start and
-    b's end, clamping vertices and dropping collapsed edges.
+    """Project the pair onto the rectangle [p_lo, p_hi] x [q_lo, q_hi]
+    spanned by a's start and b's end: keep a vertical edge iff its pixel row
+    lies in [p_lo, p_hi), a horizontal one iff its column lies in
+    [q_lo, q_hi), each in its own direction, and drop the rest.
+
+    This is the walk of the pair's clamped corners.  Clamping moves a unit
+    step by that step or not at all; a and b are each monotone per axis, so
+    on each axis the walk crosses the span between a's start and b's end
+    once, toward b's end, and a step away from b's end lies beyond the span.
+    So the kept edges form a monotone path from a's start to b's end.
 
     Returns (projected two-direction Segment, shifts), where shifts lists
-    (row, original column, projected column) for every vertical edge of the
-    pair whose column the projection moves; or None when the pair is not
-    mergeable (coincident corners, or the clamped walk is not monotone).
+    (row, original column, clamped column) for every vertical edge of the
+    pair whose column lies outside [q_lo, q_hi], kept or dropped; or None
+    when the corners coincide.
     """
     if segment_endpoint(a) != b.start:
         raise ValueError("segments are not adjacent")
@@ -279,26 +286,19 @@ def project_onto_rectangle(a: Segment, b: Segment):
         return None
     p_lo, p_hi = sorted((l0[0], l2[0]))
     q_lo, q_hi = sorted((l0[1], l2[1]))
-    dir_v = "S" if l2[0] >= l0[0] else "N"
-    dir_h = "E" if l2[1] >= l0[1] else "W"
     dirs = []
     shifts = []
-    point = prev = l0
-    for d in a.dirs + b.dirs:
-        vertical, row, col = crack(point, d)
-        if vertical and not q_lo <= col <= q_hi:
-            shifts.append((row, col, min(max(col, q_lo), q_hi)))
-        point = step(point, d)
-        clamped = (min(max(point[0], p_lo), p_hi), min(max(point[1], q_lo), q_hi))
-        if clamped != prev:
-            nd = _DIRECTION_OF.get((clamped[0] - prev[0], clamped[1] - prev[1]))
-            if nd not in (dir_v, dir_h):
-                return None
-            dirs.append(nd)
-            prev = clamped
-    if prev != l2:
-        return None
-    return Segment(l0, (dir_v, dir_h), "".join(dirs)), shifts
+    walk = a.dirs + b.dirs
+    for d, (vertical, row, col) in zip(walk, cracks(l0, walk)):
+        if vertical:
+            if not q_lo <= col <= q_hi:
+                shifts.append((row, col, min(max(col, q_lo), q_hi)))
+            if p_lo <= row < p_hi:
+                dirs.append(d)
+        elif q_lo <= col < q_hi:
+            dirs.append(d)
+    dirpair = ("S" if l2[0] >= l0[0] else "N", "E" if l2[1] >= l0[1] else "W")
+    return Segment(l0, dirpair, "".join(dirs)), shifts
 
 
 def merge_segments(a: Segment, b: Segment, prior_dirs, color, cfg: ApproxConfig, *, cost_a: RdCost, cost_b: RdCost, forbidden_last: str | None = None):

@@ -69,7 +69,7 @@ def _load_pair(depth_path, color_path):
 
 
 def _read_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -224,9 +224,9 @@ def cmd_sweep(args) -> int:
         left, right = make_synthetic_scene(cfg.seed, spec)
         scale = spec.value_scale
     else:
-        missing = [n for n in ("left_depth", "left_color", "right_depth", "right_color") if not getattr(args, n)]
+        missing = [f"--{n.replace('_', '-')}" for n in ("left_depth", "left_color", "right_depth", "right_color") if not getattr(args, n)]
         if missing:
-            raise SystemExit(f"sweep needs --scene or all four image paths (missing: {missing})")
+            raise SystemExit(f"sweep needs --scene or all four image paths (missing: {', '.join(missing)})")
         left = _load_pair(args.left_depth, args.left_color)
         right = _load_pair(args.right_depth, args.right_color)
     csv = run_sweep(left, right, cfg, cfg.lambdas, scale, timing=not args.no_timing)

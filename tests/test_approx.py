@@ -30,6 +30,7 @@ from contourcodec.contour import (
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
+    step,
 )
 from contourcodec.augment import approximate_stereo
 from contourcodec.config import PipelineConfig
@@ -423,6 +424,58 @@ def pair_costs(a, b, prior, color, cfg):
     return dict(cost_a=cost_a, cost_b=cost_b)
 
 
+_DIRECTION_OF = {vector: d for d, vector in DIR_VECTOR.items()}
+
+
+def _reference_project_onto_rectangle(a: Segment, b: Segment):
+    """The former projection, kept as the reference: it walks the pair,
+    clamps each corner into the joint rectangle and appends a direction
+    whenever the clamped corner moves, refusing a clamped walk that is not
+    monotone or does not end at b's end."""
+    if segment_endpoint(a) != b.start:
+        raise ValueError("segments are not adjacent")
+    l0 = a.start
+    l2 = segment_endpoint(b)
+    if l0 == l2:
+        return None
+    p_lo, p_hi = sorted((l0[0], l2[0]))
+    q_lo, q_hi = sorted((l0[1], l2[1]))
+    dir_v = "S" if l2[0] >= l0[0] else "N"
+    dir_h = "E" if l2[1] >= l0[1] else "W"
+    dirs = []
+    shifts = []
+    point = prev = l0
+    for d in a.dirs + b.dirs:
+        vertical, row, col = crack(point, d)
+        if vertical and not q_lo <= col <= q_hi:
+            shifts.append((row, col, min(max(col, q_lo), q_hi)))
+        point = step(point, d)
+        clamped = (min(max(point[0], p_lo), p_hi), min(max(point[1], q_lo), q_hi))
+        if clamped != prev:
+            nd = _DIRECTION_OF.get((clamped[0] - prev[0], clamped[1] - prev[1]))
+            if nd not in (dir_v, dir_h):
+                return None
+            dirs.append(nd)
+            prev = clamped
+    if prev != l2:
+        return None
+    return Segment(l0, (dir_v, dir_h), "".join(dirs)), shifts
+
+
+@st.composite
+def adjacent_pairs(draw):
+    """Two adjacent segments of 1-12 moves each, starting in a 40x40 box,
+    with any direction pairs; a segment may run on one axis only."""
+
+    def segment(start):
+        dirpair = (draw(st.sampled_from("SN")), draw(st.sampled_from("EW")))
+        moves = draw(st.sampled_from([*dirpair, "".join(dirpair)]))
+        return Segment(start, dirpair, draw(st.text(moves, min_size=1, max_size=12)))
+
+    a = segment((draw(st.integers(0, 40)), draw(st.integers(0, 40))))
+    return a, segment(segment_endpoint(a))
+
+
 class TestMerge:
     def test_projection_fig_case(self):
         # first pair {E,S} overshoots right, second {W,S} comes back: edges
@@ -439,6 +492,17 @@ class TestMerge:
         a = Segment((0, 0), ("S", "E"), "ES")
         b = Segment((1, 1), ("N", "W"), "WN")
         assert project_onto_rectangle(a, b) is None
+
+    @settings(max_examples=500)
+    @given(adjacent_pairs())
+    def test_projection_equals_the_clamped_walk(self, pair):
+        a, b = pair
+        result = project_onto_rectangle(a, b)
+        assert result == _reference_project_onto_rectangle(a, b)
+        assert (result is None) == (a.start == segment_endpoint(b))
+        if result is not None:
+            assert result[0].start == a.start
+            assert segment_endpoint(result[0]) == segment_endpoint(b)
 
     def test_monotone_pair_merges_with_zero_projection(self, rng):
         color = textured_color(rng, 48, 64)

@@ -393,6 +393,11 @@ class TestWarp:
         out, holes = warp_view(depth, color, 0.0, -1, spec.value_scale)
         assert out == color and not holes.any()
 
+    def test_direction_other_than_plus_or_minus_one_rejected(self):
+        depth = DepthImage(np.full((4, 6), 3, np.uint8))
+        with pytest.raises(ValueError, match="direction must be -1 or \\+1"):
+            _warp(depth, ColorImage(np.zeros((4, 6, 3), np.uint8)), 0.5, 0, 1.0)
+
     def test_uniform_disparity_rigid_shift(self):
         depth = DepthImage(np.full((4, 6), 3, np.uint8))
         color = ColorImage(np.arange(4 * 6 * 3, dtype=np.uint8).reshape(4, 6, 3))

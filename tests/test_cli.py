@@ -120,6 +120,11 @@ def test_scene_spec_jitter_bound_is_checked_on_the_whole_spec():
             parse_scene_spec(text)
 
 
+def test_config_line_without_equals_sign_is_an_error():
+    with pytest.raises(ValueError, match="expected key=value"):
+        parse_config("kappa\n")
+
+
 def test_config_defaults_match_module_defaults():
     cfg = PipelineConfig()
     assert cfg.aec_params() == AecParams()
@@ -268,6 +273,25 @@ def test_sweep_deterministic_rerun(tmp_path):
     assert main(sweep_args(scene_file, a, argv)) == 0
     assert main(sweep_args(scene_file, b, argv)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_from_four_image_files_equals_the_scene_sweep(tmp_path):
+    # the README scene, written to files and swept at the scene's value scale
+    spec_file, config = tmp_path / "spec.cfg", tmp_path / "sweep.cfg"
+    spec_file.write_text("width=128\nheight=96\njitter=2\ntexture=noise\n")
+    config.write_text(f"disparity_scale = {parse_scene_spec(spec_file.read_text()).value_scale}\n")
+    assert main(["scene", "--spec", str(spec_file), "--seed", "2", "--out-dir", str(tmp_path)]) == 0
+    views = [f"--{side}-{kind}={tmp_path / side}.{ext}" for side in ("left", "right") for kind, ext in (("depth", "pgm"), ("color", "ppm"))]
+    argv = ["--lambdas", "0,2,8", "--no-timing"]
+    files, scene = tmp_path / "files.csv", tmp_path / "scene.csv"
+    assert main(["sweep", *views, "--config", str(config), "--out", str(files), *argv]) == 0
+    assert main(sweep_args(spec_file, scene, ["--seed", "2", *argv])) == 0
+    assert files.read_bytes() == scene.read_bytes()
+
+
+def test_sweep_without_scene_names_the_missing_image_flags(tmp_path):
+    with pytest.raises(SystemExit, match=r"\(missing: --left-color, --right-depth, --right-color\)$"):
+        main(["sweep", "--left-depth", str(tmp_path / "x.pgm")])
 
 
 def test_sweep_result_columns_deterministic_with_timing(tmp_path):
@@ -489,6 +513,11 @@ def test_psnr_cap_and_symmetry(rng):
     assert psnr(img, img) == 99.0
     other = ColorImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     assert psnr(img, other) == psnr(other, img)
+
+
+def test_psnr_rejects_images_of_different_sizes():
+    with pytest.raises(ValueError, match="identical dimensions"):
+        psnr(ColorImage(np.zeros((2, 2, 3), np.uint8)), ColorImage(np.zeros((2, 3, 3), np.uint8)))
 
 
 def _reference_psnr(a: ColorImage, b: ColorImage) -> float:

@@ -69,6 +69,14 @@ def test_load_depth_rejects_fields_that_are_not_decimal_digits(tmp_path, header)
         load_depth(path)
 
 
+@pytest.mark.parametrize("data, error", [(b"P5 4", "truncated"), (b"P5\n0 4\n255\n", "non-positive dimensions")])
+def test_load_depth_rejects_a_truncated_header_or_a_zero_dimension(tmp_path, data, error):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ImageFormatError, match=f"malformed header: {error}"):
+        load_depth(path)
+
+
 def test_load_depth_reads_leading_zeros_as_decimal(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n010 01\n0255\n" + bytes(range(10)))
@@ -199,6 +207,13 @@ def test_scene_shapes_too_small_for_their_jitter_rejected_for_every_seed(sizes):
     for seed in range(8):
         with pytest.raises(ValueError, match=r"^need min_size >= 2 \* jitter \+ 6$"):
             make_synthetic_scene(seed, SceneSpec(**sizes))
+
+
+def test_scene_margin_leaving_no_room_for_a_shape_rejected():
+    # 30 - 2 * 13 = 4 pixels are left a side, below the 2 * jitter + 6 = 6
+    # that a shape side needs at the default jitter 0
+    with pytest.raises(ValueError, match="scene too small for the requested shapes"):
+        make_synthetic_scene(0, SceneSpec(width=30, height=30, margin=13))
 
 
 @pytest.mark.parametrize("sizes", [dict(min_size=6), dict(min_size=6, max_size=6), dict(min_size=10, jitter=2), dict(min_size=18, jitter=6)])

@@ -161,6 +161,10 @@ class TestSwimScore:
         with pytest.raises(ValueError, match="smaller than one block"):
             swim_score(img, img, SwimConfig(block=16))
 
+    def test_images_of_different_sizes_rejected(self, rng):
+        with pytest.raises(ValueError, match="identical dimensions"):
+            block_scores(textured_color(rng, 16, 16), textured_color(rng, 16, 32), SwimConfig(block=8))
+
     def test_translation_robustness(self, rng):
         # a small global shift re-matches inside the search window, while the
         # same comparison without search sees a large distortion; a constant
