@@ -11,6 +11,7 @@ projecting the pair onto it, beats the pair's summed cost.  The projection
 keeps the edges whose crack lies inside the rectangle and drops the rest; it
 charges each vertical edge outside the rectangle's columns, kept or dropped,
 as a shift onto the nearer side, and a dropped one inside them nothing.
+Segments meet at seams, whose one rule ``approximate_contour`` states.
 
 The inter-view bound: a shifted edge costs at least the proxy's weight, so
 a segment whose original path costs less than the weight keeps it (every
@@ -124,12 +125,11 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     context seed); only the last K count, and fewer than K means that fewer
     edges precede the segment.  ``vertical_columns`` maps each pixel row
     crossed by the original segment's vertical edges to the edge column.
-    ``forbidden_last`` excludes paths ending in that direction, so the next
-    segment of the contour can never be forced into a 180-degree turn.
-    ``color`` is the view's color image or a ``swim.RowProxy`` of it, whose
-    weight is the view's inter-view penalty (an image is priced with weight
-    0); callers that approximate several segments of one image share one
-    proxy.
+    ``forbidden_last`` excludes paths ending in that direction, the seam
+    rule of ``approximate_contour``.  ``color`` is the view's color image or
+    a ``swim.RowProxy`` of it, whose weight is the view's inter-view penalty
+    (an image is priced with weight 0); callers that approximate several
+    segments of one image share one proxy.
 
     After t moves a state is (i, m): i vertical moves made and m the last
     min(t, K) moves as bits (vertical 0, horizontal 1, newest in bit 0),
@@ -159,7 +159,6 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     model = context_model(cfg.aec)
     entries, fill = model.entries, model.fill
     prior = model.walk(prior_dirs)
-    prior_dirs = model.windows[prior]  # only the last K count
     if seg.length == 0:
         return seg, RdCost(0.0, 0.0, 0.0)
     first_row, end_row = sorted((seg.start[0], segment_endpoint(seg)[0]))
@@ -344,52 +343,49 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
     """Approximate a whole contour: per-segment DP, then greedy merging of
     adjacent pairs (left-to-right passes repeated until no pass improves).
 
+    The seam rule: a segment approximated or merged into slot j may not end
+    with the reverse of slot j + 1's current first move (``seam``), which
+    would turn back at the seam.  A closed contour's closing seam has none yet.
+
     ``color`` is the view's color image or a ``swim.RowProxy`` of it, as in
     ``approximate_segment``; a contour that leaves the image raises
-    ValueError.  Returns (approximated Contour, RdCost).  The reported rate
-    is the entropy estimate of the final reassembled contour; the distortion
-    is the sum over segments including any merge distortion.
+    ValueError.  Returns (approximated Contour, RdCost): the entropy estimate
+    of the reassembled contour and the slots' summed distortion, merges
+    included; a self-touching result keeps the original at distortion 0.
     """
     proxy = row_proxy(color, cfg.swim)
     contour.check_inside(*proxy.lum.shape)
     model = context_model(cfg.aec)
-    slots = []
-    recent = 0  # window id after the segments approximated so far
-    originals = split_segments(contour)
-    for i, seg in enumerate(originals):
-        # ending against the next segment's original first step would force a
-        # 180-degree turn at the seam (or push it onto edges beyond the match
-        # window); the original seam direction always leaves a finite path
-        forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
-        approx, cost = approximate_segment(seg, model.windows[recent], proxy, segment_vertical_columns(seg), cfg, forbidden_last=forbidden)
-        slots.append([seg, approx, cost])
-        recent = model.walk(approx.dirs, recent)
+    # (original, approximation, cost); an unsolved slot's approximation is its original
+    slots = [[seg, seg, None] for seg in split_segments(contour)]
 
-    if cfg.merge:
-        improved = True
-        while improved:
-            improved = False
-            i = 0
-            prior = 0  # window id of the edges before slot i
-            while i + 1 < len(slots):
-                forbidden = OPPOSITE[slots[i + 2][1].dirs[0]] if i + 2 < len(slots) else None
-                res = merge_segments(
-                    slots[i][0], slots[i + 1][0], model.windows[prior], proxy, cfg,
-                    cost_a=slots[i][2], cost_b=slots[i + 1][2], forbidden_last=forbidden,
-                )
-                if res is None:
-                    prior = model.walk(slots[i][1].dirs, prior)
-                    i += 1
-                    continue
-                slots[i : i + 2] = [list(res)]  # (projected original, approximation, cost)
+    def seam(j):
+        return OPPOSITE[slots[j][1].dirs[0]] if j < len(slots) else None
+
+    prior = 0  # window id of the edges before slot i
+    for i, slot in enumerate(slots):
+        slot[1:] = approximate_segment(slot[0], model.windows[prior], proxy, segment_vertical_columns(slot[0]), cfg, forbidden_last=seam(i + 1))
+        prior = model.walk(slot[1].dirs, prior)
+
+    improved = cfg.merge
+    while improved:
+        improved = False
+        i = prior = 0
+        while i + 1 < len(slots):
+            (a, approx_a, cost_a), (b, _, cost_b) = slots[i : i + 2]
+            res = merge_segments(a, b, model.windows[prior], proxy, cfg, cost_a=cost_a, cost_b=cost_b, forbidden_last=seam(i + 2))
+            if res is None:
+                prior = model.walk(approx_a.dirs, prior)
+                i += 1
+            else:
+                slots[i : i + 2] = [list(res)]
                 improved = True
 
     assembled = join_segments([s[1] for s in slots])
+    distortion = sum(s[2].distortion for s in slots)
     edges = list(cracks(assembled.start, assembled.absolute_dirs()))
     if len(set(edges)) != len(edges):
         logger.warning("approximation produced a self-touching contour; keeping the original")
-        rate = estimate_rate(contour, cfg.aec)
-        return contour, RdCost(0.0, rate, cfg.lagrange * rate)
-    distortion = sum(s[2].distortion for s in slots)
+        assembled, distortion = contour, 0.0
     rate = estimate_rate(assembled, cfg.aec)
     return assembled, RdCost(distortion, rate, distortion + cfg.lagrange * rate)

@@ -47,6 +47,8 @@ CSV_HEADER = "lambda,contour_bits,proxy_distortion,swim_d,swim_S,psnr_db,detect_
 
 PSNR_CAP_DB = 99.0
 
+VIEW_FLAGS = ("--left-depth", "--left-color", "--right-depth", "--right-color")
+
 
 def psnr(a: ColorImage, b: ColorImage) -> float:
     """Peak signal-to-noise ratio in dB, capped for identical images.
@@ -215,6 +217,9 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
 
 
 def cmd_sweep(args) -> int:
+    paths = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in VIEW_FLAGS}
+    if args.scene and (given := [flag for flag, path in paths.items() if path is not None]):
+        raise SystemExit(f"sweep takes --scene or the four image paths, not both (got {', '.join(given)})")
     cfg = _read_config(args)
     if args.lambdas is not None:
         cfg = replace(cfg, lambdas=_floats(args.lambdas))
@@ -224,7 +229,7 @@ def cmd_sweep(args) -> int:
         left, right = make_synthetic_scene(cfg.seed, spec)
         scale = spec.value_scale
     else:
-        missing = [f"--{n.replace('_', '-')}" for n in ("left_depth", "left_color", "right_depth", "right_color") if not getattr(args, n)]
+        missing = [flag for flag, path in paths.items() if not path]
         if missing:
             raise SystemExit(f"sweep needs --scene or all four image paths (missing: {', '.join(missing)})")
         left = _load_pair(args.left_depth, args.left_color)
@@ -270,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize an intermediate view from a stereo pair")
     common(p)
-    p.add_argument("--left-depth", required=True)
-    p.add_argument("--left-color", required=True)
-    p.add_argument("--right-depth", required=True)
-    p.add_argument("--right-color", required=True)
+    for flag in VIEW_FLAGS:
+        p.add_argument(flag, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -281,10 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="full pipeline over a list of lambda values")
     common(p, seed=True)
     p.add_argument("--scene", default=None, help="scene descriptor file (synthetic input)")
-    p.add_argument("--left-depth")
-    p.add_argument("--left-color")
-    p.add_argument("--right-depth")
-    p.add_argument("--right-color")
+    for flag in VIEW_FLAGS:
+        p.add_argument(flag)
     p.add_argument("--lambdas", default=None, help="comma-separated override")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--no-timing", action="store_true", help="write zeros for the *_ms columns")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ class ColorImage(_Image):
 # Binary PGM (P5) / PPM (P6), maxval 255
 # ---------------------------------------------------------------------------
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# ASCII whitespace and '#' comments to the end of their line, then one header token
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")
 
 
 def _parse_pnm(data: bytes, magic: bytes):
@@ -84,20 +86,13 @@ def _parse_pnm(data: bytes, magic: bytes):
         raise ImageFormatError(f"malformed header: expected magic {magic!r}")
     pos = 2
     tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and (data[pos] in _WHITESPACE or data[pos] == ord("#")):
-            if data[pos] == ord("#"):
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                pos += 1
-        start = pos
-        while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-            pos += 1
-        if pos == start:
+    for _ in range(3):
+        match = _TOKEN.match(data, pos)
+        if not match[1]:
             raise ImageFormatError("malformed header: truncated")
-        tokens.append(data[start:pos])
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        tokens.append(match[1])
+        pos = match.end()
+    if not data[pos : pos + 1].isspace():
         raise ImageFormatError("malformed header: missing payload separator")
     pos += 1
     if not all(t.isdigit() for t in tokens):  # ASCII decimal digits only, as Netpbm allows

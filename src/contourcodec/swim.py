@@ -16,8 +16,7 @@ A block row whose pixels equal the reference's scores 0 and is skipped.
 The proxy replaces the per-block histogram comparison by per-row comparisons
 of fitted Laplace scales, which have a closed-form KS distance; row
 distortions are evaluated with a shifting N-pixel window on the input color
-image so no view synthesis is needed inside the optimizer (one stacked fit
-per window covers its 2W + 1 shifts, bit-equal to fitting them one by one).
+image so no view synthesis is needed inside the optimizer.
 
 Note the closed form drops the constant 1/2 of the Laplace CDFs, i.e. it
 equals twice the true KS distance; it still lies in [0, 1].
@@ -183,12 +182,13 @@ def swim_score(synth, ref, cfg: SwimConfig):
     return d, 1.0 / (1.0 + d)
 
 
-def laplace_fit(coeffs) -> float:
-    """Maximum-likelihood Laplace scale: the mean absolute value."""
-    a = np.asarray(coeffs, np.float64).ravel()
-    if a.size == 0:
+def laplace_fit(coeffs):
+    """Maximum-likelihood Laplace scale (mean absolute value) of each row
+    along the last axis: a float for one row, a list for a stack."""
+    a = np.ascontiguousarray(np.abs(np.asarray(coeffs, np.float64)))  # a stacked row sums in its own pairwise order
+    if a.shape[-1] == 0:
         raise ValueError("empty coefficient list")
-    return float(np.mean(np.abs(a)))
+    return (np.add.reduce(a, axis=-1) / a.shape[-1]).tolist()
 
 
 def laplace_ks(scale_a: float, scale_b: float) -> float:
@@ -253,13 +253,9 @@ class RowProxy:
             self._check_range(row, window_start)
             w = self.lum.shape[1]
             n, win = self.cfg.block, self.cfg.window
-            # one haar_row pass over the in-image windows start - W .. start + W;
-            # C-contiguous magnitudes sum each window in the pairwise order
-            # laplace_fit uses on one window, so the scales are bit-equal
+            # one haar_row pass and one fit over the in-image windows start - W .. start + W
             lo, hi = max(window_start - win, 0), min(window_start + win, w - n)
-            stack = sliding_window_view(self.lum[row, lo : hi + n], n)
-            coeffs = np.ascontiguousarray(np.abs(haar_row(stack)))
-            scales = (np.add.reduce(coeffs, axis=-1) / (n - 1)).tolist()
+            scales = laplace_fit(haar_row(sliding_window_view(self.lum[row, lo : hi + n], n)))
             own = scales[window_start - lo]
             # shifting the edge by s compares against the window at start - s
             out = self._shifts[key] = [

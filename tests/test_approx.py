@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import textured_color, window_entry
+from conftest import random_contour, textured_color, window_entry
 from contourcodec import approx
 from contourcodec.aec import AecParams, context_model, estimate_rate
 from contourcodec.approx import (
@@ -26,7 +26,9 @@ from contourcodec.contour import (
     Contour,
     Segment,
     crack,
+    cracks,
     detect_contours,
+    join_segments,
     segment_endpoint,
     segment_vertical_columns,
     split_segments,
@@ -715,6 +717,80 @@ class TestApproximateContour:
             out, cost = approximate_contour(c, color, cfg)
             via_proxy, proxy_cost = approximate_contour(c, RowProxy(color, cfg.swim), cfg)
             assert via_proxy == out and repr(proxy_cost) == repr(cost)
+
+
+def reference_approximate_contour(contour: Contour, color, cfg: ApproxConfig):
+    """The former approximate_contour, which derived the segment pass's and
+    the merge passes' forbidden last moves separately, kept as the
+    reference for the one ``seam`` rule."""
+    proxy = row_proxy(color, cfg.swim)
+    contour.check_inside(*proxy.lum.shape)
+    model = context_model(cfg.aec)
+    slots = []
+    recent = 0  # window id after the segments approximated so far
+    originals = split_segments(contour)
+    for i, seg in enumerate(originals):
+        # ending against the next segment's original first step would force a
+        # 180-degree turn at the seam (or push it onto edges beyond the match
+        # window); the original seam direction always leaves a finite path
+        forbidden = OPPOSITE[originals[i + 1].dirs[0]] if i + 1 < len(originals) else None
+        approx, cost = approximate_segment(seg, model.windows[recent], proxy, segment_vertical_columns(seg), cfg, forbidden_last=forbidden)
+        slots.append([seg, approx, cost])
+        recent = model.walk(approx.dirs, recent)
+
+    if cfg.merge:
+        improved = True
+        while improved:
+            improved = False
+            i = 0
+            prior = 0  # window id of the edges before slot i
+            while i + 1 < len(slots):
+                forbidden = OPPOSITE[slots[i + 2][1].dirs[0]] if i + 2 < len(slots) else None
+                res = merge_segments(
+                    slots[i][0], slots[i + 1][0], model.windows[prior], proxy, cfg,
+                    cost_a=slots[i][2], cost_b=slots[i + 1][2], forbidden_last=forbidden,
+                )
+                if res is None:
+                    prior = model.walk(slots[i][1].dirs, prior)
+                    i += 1
+                    continue
+                slots[i : i + 2] = [list(res)]  # (projected original, approximation, cost)
+                improved = True
+
+    assembled = join_segments([s[1] for s in slots])
+    edges = list(cracks(assembled.start, assembled.absolute_dirs()))
+    if len(set(edges)) != len(edges):
+        logger.warning("approximation produced a self-touching contour; keeping the original")
+        rate = estimate_rate(contour, cfg.aec)
+        return contour, RdCost(0.0, rate, cfg.lagrange * rate)
+    distortion = sum(s[2].distortion for s in slots)
+    rate = estimate_rate(assembled, cfg.aec)
+    return assembled, RdCost(distortion, rate, distortion + cfg.lagrange * rate)
+
+
+@st.composite
+def textured_contours(draw):
+    """A random chain of 1-30 edges around the middle of a textured 48x64
+    image, lambda in {0, 0.5, 2, 8}, K 1-4, merging on or off, and a proxy
+    of inter-view weight 0 or 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    contour = random_contour(rng, draw(st.integers(1, 30)), start=(24, 32))
+    cfg = ApproxConfig(
+        lagrange=draw(st.sampled_from([0.0, 0.5, 2.0, 8.0])),
+        merge=draw(st.booleans()),
+        aec=AecParams(context_len=draw(st.integers(1, 4))),
+        swim=SwimConfig(block=8, window=4),
+    )
+    return (contour, RowProxy(textured_color(rng, 48, 64), cfg.swim, draw(st.sampled_from([0.0, 1e6]))), cfg), {}
+
+
+class TestOneSeamRule:
+    @settings(max_examples=300)
+    @given(textured_contours())
+    def test_same_contour_and_cost_as_the_former_passes(self, case):
+        args, options = case
+        reference = _outcome(reference_approximate_contour, args, options)
+        assert _outcome(approximate_contour, args, options) == reference
 
 
 class TestSegmentPathCost:

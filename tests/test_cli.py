@@ -294,6 +294,17 @@ def test_sweep_without_scene_names_the_missing_image_flags(tmp_path):
         main(["sweep", "--left-depth", str(tmp_path / "x.pgm")])
 
 
+@pytest.mark.parametrize("flags", [["--left-depth"], ["--right-color"], ["--left-color", "--right-depth"]])
+def test_sweep_rejects_scene_together_with_image_flags(tmp_path, flags):
+    scene_file = tmp_path / "scene.cfg"
+    scene_file.write_text("width=96\nheight=80\n")
+    out = tmp_path / "sweep.csv"
+    paths = [arg for flag in flags for arg in (flag, str(tmp_path / "missing.pgm"))]
+    with pytest.raises(SystemExit, match=rf"^sweep takes --scene or the four image paths, not both \(got {', '.join(flags)}\)$"):
+        main(sweep_args(scene_file, out, [*paths, "--lambdas", "0"]))
+    assert not out.exists()
+
+
 def test_sweep_result_columns_deterministic_with_timing(tmp_path):
     spec = SceneSpec(width=96, height=80, shapes=1, jitter=1, texture="noise")
     scene_file = tmp_path / "scene.cfg"
@@ -503,6 +514,21 @@ def test_sweep_matches_large_sparse_golden_csv():
     expected = LARGE_SPARSE_SWEEP.read_bytes()
     assert hashlib.sha256(expected).hexdigest().startswith("948089b7e773")
     spec = SceneSpec(width=512, height=384, shapes=2, jitter=0, texture="noise")
+    left, right = make_synthetic_scene(2, spec)
+    csv = run_sweep(left, right, PipelineConfig(seed=2), (0.0, 8.0), spec.value_scale, timing=False)
+    assert csv.encode() == expected
+
+
+MANY_SWEEP = Path(__file__).with_name("data") / "sweep_640x480_many.csv"
+
+
+def test_sweep_matches_many_contour_golden_csv():
+    """A 640x480 scene with 12 jittered shapes (lambdas 0,8), the one golden
+    CSV where merging runs over many contours; the others hold at most
+    three shapes."""
+    expected = MANY_SWEEP.read_bytes()
+    assert hashlib.sha256(expected).hexdigest().startswith("9d51addef499")
+    spec = SceneSpec(width=640, height=480, shapes=12, jitter=4, texture="noise", min_size=40, max_size=100)
     left, right = make_synthetic_scene(2, spec)
     csv = run_sweep(left, right, PipelineConfig(seed=2), (0.0, 8.0), spec.value_scale, timing=False)
     assert csv.encode() == expected

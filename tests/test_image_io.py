@@ -14,6 +14,7 @@ from contourcodec.image_io import (
     DepthImage,
     ImageFormatError,
     SceneSpec,
+    _parse_pnm,
     load_color,
     load_depth,
     make_synthetic_scene,
@@ -157,6 +158,79 @@ def test_corrupt_pnm_loads_its_header_image_or_fails(tmp_path_factory, color, si
             load(path)
     else:
         assert load(path) == want
+
+
+_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+
+
+def reference_parse_pnm(data: bytes, magic: bytes):
+    """The former header parser, a scanning loop per token, kept as the
+    reference for the one token pattern."""
+    if data[:2] != magic:
+        raise ImageFormatError(f"malformed header: expected magic {magic!r}")
+    pos = 2
+    tokens = []
+    while len(tokens) < 3:
+        while pos < len(data) and (data[pos] in _WHITESPACE or data[pos] == ord("#")):
+            if data[pos] == ord("#"):
+                nl = data.find(b"\n", pos)
+                pos = len(data) if nl < 0 else nl + 1
+            else:
+                pos += 1
+        start = pos
+        while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
+            pos += 1
+        if pos == start:
+            raise ImageFormatError("malformed header: truncated")
+        tokens.append(data[start:pos])
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise ImageFormatError("malformed header: missing payload separator")
+    pos += 1
+    if not all(t.isdigit() for t in tokens):  # ASCII decimal digits only, as Netpbm allows
+        raise ImageFormatError("malformed header: non-numeric field")
+    width, height, maxval = (int(t) for t in tokens)
+    if width <= 0 or height <= 0:
+        raise ImageFormatError("malformed header: non-positive dimensions")
+    if maxval != 255:
+        raise ImageFormatError("unsupported bit depth")
+    return width, height, pos
+
+
+def _parse_outcome(parse, data, magic):
+    try:
+        return parse(data, magic)
+    except ImageFormatError as err:
+        return str(err)
+
+
+_SEPARATOR = st.one_of(
+    st.sampled_from(list(map(bytes, zip(b" \t\n\r\x0b\x0c")))),
+    st.builds(lambda text, end: b"#" + text + end, st.binary(max_size=8), st.sampled_from([b"\n", b"\n", b"\n", b""])),
+)
+_DIGITS = st.integers(0, 300).map(b"%d".__mod__)
+_FIELD = st.one_of(st.just(b"255"), _DIGITS, _DIGITS, st.sampled_from([b"0255", b"+1", b"-1"]), st.binary(min_size=1, max_size=3))
+
+
+@st.composite
+def pnm_headers(draw):
+    """A magic, mostly the expected one, then up to four fields and a tail,
+    each after a run of whitespace and '#' comments with or without a
+    newline; a field is mostly decimal digits, else junk."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    data = draw(st.sampled_from([magic] * 4 + [b"P5", b"P6", b"P", b""]))
+    fields = [draw(_FIELD) for _ in range(draw(st.sampled_from([3, 3, 3, 3, 0, 1, 2, 4])))]
+    for field in fields + [draw(st.binary(max_size=3))]:
+        data += b"".join(draw(st.lists(_SEPARATOR, min_size=draw(st.sampled_from([1, 1, 1, 0])), max_size=3))) + field
+    return data, magic
+
+
+@given(pnm_headers())
+@settings(max_examples=500)
+def test_header_tokens_parse_like_the_scanning_loops(header):
+    """Whitespace, '#' comments with and without a newline, digits and junk
+    after the magic give the former parser's fields or its error message."""
+    data, magic = header
+    assert _parse_outcome(_parse_pnm, data, magic) == _parse_outcome(reference_parse_pnm, data, magic)
 
 
 def test_sample_range_validation():

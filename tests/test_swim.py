@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import textured_color
 from contourcodec.augment import approximate_stereo, synthesize_view
@@ -483,6 +484,22 @@ class TestLaplace:
             s = laplace_fit(data)
             assert loglik(s, data) >= loglik(s - 1e-3, data)
             assert loglik(s, data) >= loglik(s + 1e-3, data)
+
+    @settings(max_examples=300)
+    @given(
+        n=st.sampled_from([2, 4, 8, 16, 32]),
+        extra=st.integers(0, 24),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 255.0]),
+    )
+    def test_stacked_fit_equals_the_row_fits(self, n, extra, seed, scale):
+        """Fitting a stack of Haar rows at once is bit-equal to fitting each
+        row on its own, and one row fits to a Python float."""
+        row = np.random.default_rng(seed).uniform(0.0, scale, n + extra)
+        stack = haar_row(sliding_window_view(row, n))
+        fits = [laplace_fit(r) for r in stack]
+        assert laplace_fit(stack) == fits
+        assert all(type(f) is float for f in fits)
 
     def test_ks_equal_scales(self):
         assert laplace_ks(0.7, 0.7) == 0.0
