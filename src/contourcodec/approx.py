@@ -32,8 +32,9 @@ Rate terms are read from the coder's own context model
 edges before it, so what the DP minimizes is exactly what the coder will
 spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
-which converts the image to luminance once, memoizes the 2W + 1 shift
-distortions of each (row, window) and prices every shifted vertical edge.
+which converts to luminance only the pixels of the windows it prices,
+memoizes the 2W + 1 shift distortions of each (row, window) and prices
+every shifted vertical edge.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def approximate_contour(contour: Contour, color, cfg: ApproxConfig):
     included; a self-touching result keeps the original at distortion 0.
     """
     proxy = row_proxy(color, cfg.swim)
-    contour.check_inside(*proxy.lum.shape)
+    contour.check_inside(*proxy.shape)
     model = context_model(cfg.aec)
     # (original, approximation, cost); an unsolved slot's approximation is its original
     slots = [[seg, seg, None] for seg in split_segments(contour)]

@@ -8,11 +8,14 @@ column counts contour side-information bits only; depth/color payload coding
 is outside this tool.  Each distinct modified stereo pair is synthesized and
 scored once per sweep: a row whose pair repeats an earlier row's, or the input
 pair (whose views are the references), reuses that pair's scores, and its
-``synth_ms`` is then the time of the lookup.  Synthesis is row-local, so a new
-pair is synthesized only in the rows where it differs from the input pair, the
-other rows are copied from the reference views, and block rows equal to the
-reference score 0 without being evaluated; ``synth_ms`` times finding those
-rows, synthesizing them and scoring the views.
+``synth_ms`` is then the time of the lookup.  Synthesis is row-local and the
+block metric compares a block row only with the same block row, so every
+lambda is approximated and coded first, and the reference views are then
+synthesized once, only in the block rows that some new pair changes.  A new
+pair is synthesized only in the rows where it differs from the input pair,
+the other rows are copied from the reference views, and block rows equal to
+the reference score 0 without being evaluated; ``synth_ms`` times
+synthesizing those rows and scoring the views.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aec
-from .augment import approximate_stereo, synthesize_view
+from .augment import _check_sizes, approximate_stereo, synthesize_view
 from .config import PipelineConfig, _floats, load_config
 from .contour import detect_contours, format_contours, parse_contours
 from .image_io import (
@@ -154,22 +157,40 @@ def _changed_rows(images, references) -> np.ndarray:
     return np.logical_or.reduce([(a.pixels != b.pixels).reshape(a.height, -1).any(axis=1) for a, b in zip(images, references)])
 
 
+def _synthesize_rows(images, rows, base, alpha: float, scale: float) -> ColorImage:
+    """A copy of ``base`` whose ``rows`` hold the view at ``alpha`` that the
+    four images (left depth and color, right depth and color) synthesize."""
+    pixels = base.copy()
+    if rows.any():
+        cut = [type(im)(im.pixels[rows]) for im in images]
+        pixels[rows] = synthesize_view(cut[:2], cut[2:], alpha, scale).pixels
+    return ColorImage(pixels)
+
+
+def _failed_line(lam, exc) -> str:
+    """The CSV line of a lambda whose stage raised ``exc``, reported on stderr."""
+    print(f"lambda={lam:g} failed: {exc}", file=sys.stderr)
+    nan = float("nan")
+    return f"{lam:g},{nan},{nan},{nan},{nan},{nan}," + ",".join("0.000" for _ in range(4))
+
+
 def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: bool = True):
     """One CSV line per lambda; a failed stage aborts only its own row.
 
-    Rows whose modified pairs are equal, image for image, share one (d, PSNR)
-    score, found by ``==`` in a list that the input pair starts.  The
-    input pair's views are the references, and a view scored against itself
-    gives d = 0 and the PSNR cap, unless it holds no whole block.  A new
-    pair's views are synthesized only in the rows where the pair differs
-    from the input pair and take the references' other rows, whose block
-    rows then score 0 unevaluated; ``synth_ms`` times this and the scoring."""
-    references = {a: synthesize_view(left, right, a, scale) for a in cfg.alphas}
+    Every lambda is approximated and coded first.  The references, the input
+    pair's views, are then synthesized once, only in the block rows that some
+    pair changes and in the changed rows below the last whole block row;
+    their other rows stay 0, and there every view equals its reference.
+    Rows whose modified pairs are equal, image for image, share one
+    (d, PSNR) score, found by ``==`` in a list that the input pair starts.
+    A view scored against itself gives d = 0 and the PSNR cap, unless it
+    holds no whole block.  A new pair's views are synthesized only in the
+    rows where the pair differs from the input pair and take the references'
+    other rows, whose block rows then score 0 unevaluated; ``synth_ms`` times
+    this and the scoring."""
+    _check_sizes(left, right)
     inputs = (*left, *right)
-    scored = []  # (a pair's four images, its (d, PSNR))
-    if all(min(v.height, v.width) >= cfg.block for v in references.values()):
-        scored.append((inputs, (0.0, PSNR_CAP_DB)))
-    lines = [CSV_HEADER]
+    coded = []  # per lambda: (stereo, bits, pair, its changed rows, dp and code times), or its failed CSV line
     for lam in lambdas:
         try:
             t0 = time.perf_counter()
@@ -181,19 +202,36 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
             )
             t2 = time.perf_counter()
             pair = (stereo.left.depth, stereo.left.color, stereo.right.depth, stereo.right.color)
+            coded.append((stereo, bits, pair, _changed_rows(pair, inputs), t1 - t0, t2 - t1))
+        except Exception as exc:  # noqa: BLE001 - a bad lambda must not kill the batch
+            coded.append(_failed_line(lam, exc))
+    # synthesis reads only the row it writes, and the block metric compares
+    # a block row with the same block row
+    needed = np.zeros(left[0].height, bool)
+    for entry in coded:
+        if not isinstance(entry, str):
+            needed |= entry[3]
+    whole = needed.size // cfg.block * cfg.block
+    needed[:whole] = np.repeat(needed[:whole].reshape(-1, cfg.block).any(axis=1), cfg.block)
+    blank = np.zeros_like(left[1].pixels)
+    references = {a: _synthesize_rows(inputs, needed, blank, a, scale) for a in cfg.alphas}
+    scored = []  # (a pair's four images, its (d, PSNR))
+    if min(left[0].height, left[0].width) >= cfg.block:
+        scored.append((inputs, (0.0, PSNR_CAP_DB)))
+    lines = [CSV_HEADER]
+    for lam, entry in zip(lambdas, coded):
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        stereo, bits, pair, rows, dp_s, code_s = entry
+        try:
+            t2 = time.perf_counter()
             scores = next((s for images, s in scored if images == pair), None)
             if scores is None:
-                # synthesis reads only the row it writes
-                rows = _changed_rows(pair, inputs)
-                crop = [tuple(type(im)(im.pixels[rows]) for im in view) for view in (pair[:2], pair[2:])] if rows.any() else None
                 d_values = []
                 psnr_values = []
                 for a in cfg.alphas:
-                    synth = references[a]
-                    if crop:
-                        pixels = synth.pixels.copy()
-                        pixels[rows] = synthesize_view(*crop, a, scale).pixels
-                        synth = ColorImage(pixels)
+                    synth = _synthesize_rows(pair, rows, references[a].pixels, a, scale)
                     d, _ = swim_score(synth, references[a], cfg.swim_config())
                     d_values.append(d)
                     psnr_values.append(psnr(synth, references[a]))
@@ -203,16 +241,14 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
             t3 = time.perf_counter()
             score = 1.0 / (1.0 + d_avg)
             detect = stereo.left.detect_s + stereo.right.detect_s
-            times = (detect, t1 - t0 - detect, t2 - t1, t3 - t2) if timing else (0.0,) * 4
+            times = (detect, dp_s - detect, code_s, t3 - t2) if timing else (0.0,) * 4
             lines.append(
                 f"{lam:g},{bits},{stereo.total_distortion:.6g},{d_avg:.6g},{score:.6g},"
                 f"{psnr_avg:.6g},"
                 + ",".join(f"{1000.0 * t:.3f}" for t in times)
             )
         except Exception as exc:  # noqa: BLE001 - a bad lambda must not kill the batch
-            print(f"lambda={lam:g} failed: {exc}", file=sys.stderr)
-            nan = float("nan")
-            lines.append(f"{lam:g},{nan},{nan},{nan},{nan},{nan}," + ",".join("0.000" for _ in range(4)))
+            lines.append(_failed_line(lam, exc))
     return "\n".join(lines) + "\n"
 
 

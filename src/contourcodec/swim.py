@@ -220,25 +220,29 @@ class RowProxy:
     """Row-distortion proxy of one image under one SwimConfig, priced with
     the inter-view weight of the view the image belongs to.
 
-    The image is converted to luminance once; the distortions of a window's
-    2W + 1 shifts are computed together and memoized by (row, window start).
+    The proxy keeps the image and converts to luminance only the pixels that
+    a window's 2W + 1 shifts compare, when that window is first priced; the
+    distortions of those shifts are computed together and memoized by
+    (row, window start).
     ``edge_costs`` is the optimizer's one price of a shifted vertical edge:
     its distortion plus ``weight`` * shift^2, the inter-view penalty of the
     dependent (right) view, 0 on the left view.  ``weight`` must be finite
     and >= 0.  The proxy is valid only while the image does not change:
-    build a new one after editing the image.
+    build a new one after editing the image.  ``shape`` is the image's
+    (height, width).
     """
 
     def __init__(self, image, cfg: SwimConfig, weight: float = 0.0):
         if not 0 <= weight < math.inf:
             raise ValueError("weight must be finite and >= 0")
-        self.lum = luminance(image)
+        self.pixels = np.asarray(image.pixels if isinstance(image, ColorImage) else image)
+        self.shape = self.pixels.shape[:2]
         self.cfg = cfg
         self.weight = weight
         self._shifts = {}
 
     def _check_range(self, row: int, window_start: int) -> None:
-        h, w = self.lum.shape
+        h, w = self.shape
         if not 0 <= row < h:
             raise ValueError("row out of image")
         if window_start < 0 or window_start + self.cfg.block > w:
@@ -251,11 +255,12 @@ class RowProxy:
         out = self._shifts.get(key)
         if out is None:
             self._check_range(row, window_start)
-            w = self.lum.shape[1]
+            w = self.shape[1]
             n, win = self.cfg.block, self.cfg.window
             # one haar_row pass and one fit over the in-image windows start - W .. start + W
             lo, hi = max(window_start - win, 0), min(window_start + win, w - n)
-            scales = laplace_fit(haar_row(sliding_window_view(self.lum[row, lo : hi + n], n)))
+            lum = luminance(self.pixels[row : row + 1, lo : hi + n])[0]
+            scales = laplace_fit(haar_row(sliding_window_view(lum, n)))
             own = scales[window_start - lo]
             # shifting the edge by s compares against the window at start - s
             out = self._shifts[key] = [
@@ -272,7 +277,7 @@ class RowProxy:
         A zero shift costs exactly 0.0: a window against itself gives
         ``laplace_ks`` 0.0, and weight * 0 is 0.0.  So when every column is
         ``q_orig`` the row is range-checked but not filled."""
-        window_start = window_anchor(q_orig, self.lum.shape[1], self.cfg.block)
+        window_start = window_anchor(q_orig, self.shape[1], self.cfg.block)
         if columns.count(q_orig) == len(columns):
             self._check_range(row, window_start)
             return [0.0] * len(columns)

@@ -724,7 +724,7 @@ def reference_approximate_contour(contour: Contour, color, cfg: ApproxConfig):
     the merge passes' forbidden last moves separately, kept as the
     reference for the one ``seam`` rule."""
     proxy = row_proxy(color, cfg.swim)
-    contour.check_inside(*proxy.lum.shape)
+    contour.check_inside(*proxy.shape)
     model = context_model(cfg.aec)
     slots = []
     recent = 0  # window id after the segments approximated so far

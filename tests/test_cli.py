@@ -1,6 +1,9 @@
 import hashlib
 import math
+import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -678,8 +681,9 @@ def test_pairs_that_share_the_left_view_are_told_apart_by_the_right(monkeypatch)
 
 def test_sweep_synthesizes_changed_rows_and_scores_changed_strips(monkeypatch):
     """A sparse scene whose lambda-8 pair differs from the input pair in 4 of
-    96 rows, in 2 of the 6 block rows: only those rows are synthesized and
-    only those block rows scored, and the CSV is the full-frame one."""
+    96 rows, in 2 of the 6 block rows: the references are synthesized only in
+    those 2 block rows, the pair only in its 4 rows, only those block rows
+    are scored, and the CSV is the full-frame one."""
     import contourcodec.cli as cli_mod
     import contourcodec.swim as swim_mod
 
@@ -703,9 +707,201 @@ def test_sweep_synthesizes_changed_rows_and_scores_changed_strips(monkeypatch):
         "0,592,0,0,1,99,0.000,0.000,0.000,0.000",
         "8,576,0.121136,0.000318287,0.999682,51.1086,0.000,0.000,0.000,0.000",
     ]
-    # 3 reference views, then the 4 changed rows of the lambda-8 pair's 3 views
-    assert heights == [96, 96, 96, 4, 4, 4]
+    # the 2 changed block rows of 16 rows in 3 reference views, then the 4
+    # changed rows of the lambda-8 pair's 3 views
+    assert heights == [32, 32, 32, 4, 4, 4]
     assert strips == [(16, 128)] * 6
+
+
+def reference_run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: bool = True):
+    """The former ``run_sweep``, which synthesized the reference views over
+    the whole frame before the first lambda, kept as the reference for the
+    references synthesized only in the rows some new pair changes.  It calls
+    ``cli``'s stages through the module, so a patch of one reaches both."""
+    import contourcodec.cli as cli_mod
+
+    def changed_rows(images, references):
+        return np.logical_or.reduce([(a.pixels != b.pixels).reshape(a.height, -1).any(axis=1) for a, b in zip(images, references)])
+
+    references = {a: cli_mod.synthesize_view(left, right, a, scale) for a in cfg.alphas}
+    inputs = (*left, *right)
+    scored = []
+    if all(min(v.height, v.width) >= cfg.block for v in references.values()):
+        scored.append((inputs, (0.0, PSNR_CAP_DB)))
+    lines = [CSV_HEADER]
+    for lam in lambdas:
+        try:
+            t0 = time.perf_counter()
+            stereo = cli_mod.approximate_stereo(left, right, cfg.approx_config(lam), threshold=cfg.threshold, scale=scale)
+            t1 = time.perf_counter()
+            bits = 8 * (
+                len(cli_mod.aec.encode(stereo.left.contours, cfg.aec_params()))
+                + len(cli_mod.aec.encode(stereo.right.contours, cfg.aec_params()))
+            )
+            t2 = time.perf_counter()
+            pair = (stereo.left.depth, stereo.left.color, stereo.right.depth, stereo.right.color)
+            scores = next((s for images, s in scored if images == pair), None)
+            if scores is None:
+                rows = changed_rows(pair, inputs)
+                crop = [tuple(type(im)(im.pixels[rows]) for im in view) for view in (pair[:2], pair[2:])] if rows.any() else None
+                d_values = []
+                psnr_values = []
+                for a in cfg.alphas:
+                    synth = references[a]
+                    if crop:
+                        pixels = synth.pixels.copy()
+                        pixels[rows] = cli_mod.synthesize_view(*crop, a, scale).pixels
+                        synth = ColorImage(pixels)
+                    d, _ = cli_mod.swim_score(synth, references[a], cfg.swim_config())
+                    d_values.append(d)
+                    psnr_values.append(psnr(synth, references[a]))
+                scores = (sum(d_values) / len(d_values), sum(psnr_values) / len(psnr_values))
+                scored.append((pair, scores))
+            d_avg, psnr_avg = scores
+            t3 = time.perf_counter()
+            score = 1.0 / (1.0 + d_avg)
+            detect = stereo.left.detect_s + stereo.right.detect_s
+            times = (detect, t1 - t0 - detect, t2 - t1, t3 - t2) if timing else (0.0,) * 4
+            lines.append(
+                f"{lam:g},{bits},{stereo.total_distortion:.6g},{d_avg:.6g},{score:.6g},"
+                f"{psnr_avg:.6g},"
+                + ",".join(f"{1000.0 * t:.3f}" for t in times)
+            )
+        except Exception as exc:  # noqa: BLE001
+            print(f"lambda={lam:g} failed: {exc}", file=sys.stderr)
+            nan = float("nan")
+            lines.append(f"{lam:g},{nan},{nan},{nan},{nan},{nan}," + ",".join("0.000" for _ in range(4)))
+    return "\n".join(lines) + "\n"
+
+
+def rows_inverted(edits):
+    """An ``approximate_stereo`` stand-in whose pair at lambda k is the input
+    pair with ``255 - x`` in each (image, row) of ``edits[k]``; the images
+    are numbered left depth, left color, right depth, right color."""
+
+    def approximate(left, right, cfg, **kwargs):
+        images = [im.pixels.copy() for im in (*left, *right)]
+        for image, row in edits.get(cfg.lagrange, ()):
+            images[image][row] = 255 - images[image][row]
+        views = ((DepthImage(images[0]), ColorImage(images[1])), (DepthImage(images[2]), ColorImage(images[3])))
+        return StereoResult(*(ViewResult(d, c, [], [], [], 0.0) for d, c in views))
+
+    return approximate
+
+
+def random_pair(rng, height, width):
+    """A stereo pair of random depth in [0, 60) and random color."""
+    return [
+        (DepthImage(rng.integers(0, 60, (height, width), dtype=np.uint8)), ColorImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8)))
+        for _ in range(2)
+    ]
+
+
+@st.composite
+def sweep_cases(draw):
+    """(left, right, cfg, lambdas, edits): sizes below one block and not a
+    multiple of it, repeated lambdas, the failing lambda -1, and pairs that
+    change any rows, or only rows below the last whole block row."""
+    block = draw(st.sampled_from([4, 8, 16]))
+    height, width = draw(st.integers(1, 3 * block + 5)), draw(st.integers(1, 3 * block + 5))
+    left, right = random_pair(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), height, width)
+    whole = height // block * block
+    tail_only = whole < height and draw(st.booleans())
+    rows = st.integers(whole, height - 1) if tail_only else st.integers(0, height - 1)
+    edits = {lam: draw(st.lists(st.tuples(st.integers(0, 3), rows), max_size=4)) for lam in (1.0, 2.0, 3.0)}
+    lambdas = tuple(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=5)))
+    return left, right, PipelineConfig(block=block, window=draw(st.integers(0, 6))), lambdas, edits
+
+
+@given(sweep_cases())
+@settings(max_examples=60)
+def test_sweep_equals_the_full_frame_reference_sweep(case):
+    import contourcodec.cli as cli_mod
+
+    left, right, cfg, lambdas, edits = case
+    with mock.patch.object(cli_mod, "approximate_stereo", rows_inverted(edits)):
+        expected = reference_run_sweep(left, right, cfg, lambdas, 0.1, timing=False)
+        assert run_sweep(left, right, cfg, lambdas, 0.1, timing=False) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, cfg",
+    [
+        (SceneSpec(width=75, height=53, shapes=1, jitter=1, min_size=16, max_size=24, margin=10), PipelineConfig(seed=1)),
+        (SceneSpec(width=61, height=45, shapes=2, jitter=2, min_size=12, max_size=20, margin=4), PipelineConfig(seed=5, block=8, window=5)),
+    ],
+)
+def test_sweep_of_a_scene_not_a_multiple_of_the_block_equals_the_reference_sweep(spec, cfg):
+    left, right = make_synthetic_scene(cfg.seed, spec)
+    lambdas = (0.0, 2.0, -1.0, 8.0, 2.0)
+    expected = reference_run_sweep(left, right, cfg, lambdas, spec.value_scale, timing=False)
+    assert run_sweep(left, right, cfg, lambdas, spec.value_scale, timing=False) == expected
+
+
+def test_sweep_of_unchanged_or_failed_pairs_synthesizes_nothing(monkeypatch, rng):
+    import contourcodec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "approximate_stereo", rows_inverted({}))
+    calls = count_scoring_calls(monkeypatch)
+    left, right = random_pair(rng, 40, 50)
+    lines = run_sweep(left, right, PipelineConfig(), (0.0, -1.0, 3.0), 0.1, timing=False).splitlines()
+    assert [line.split(",")[3:6] for line in lines[1:]] == [["0", "1", "99"], ["nan"] * 3, ["0", "1", "99"]]
+    assert calls == {"synthesize_view": 0, "swim_score": 0}
+
+
+def test_changes_below_the_last_whole_block_row_are_synthesized_alone(monkeypatch, rng):
+    """Rows 35 and 37 of a 40-row pair lie below its 2 whole block rows of
+    16: the references cover just those 2 rows, no block row is evaluated,
+    and PSNR drops below the cap."""
+    import contourcodec.cli as cli_mod
+    import contourcodec.swim as swim_mod
+
+    heights, strips = [], []
+    real_synth, real_match = cli_mod.synthesize_view, swim_mod._match_blocks
+
+    def synth(left, right, *args):
+        heights.append(left[0].height)
+        return real_synth(left, right, *args)
+
+    def match(targets, ref_strip, *args):
+        strips.append(ref_strip.shape)
+        return real_match(targets, ref_strip, *args)
+
+    monkeypatch.setattr(cli_mod, "approximate_stereo", rows_inverted({1.0: [(3, 35), (1, 37)]}))
+    monkeypatch.setattr(cli_mod, "synthesize_view", synth)
+    monkeypatch.setattr(swim_mod, "_match_blocks", match)
+    left, right = random_pair(rng, 40, 50)
+    lines = run_sweep(left, right, PipelineConfig(), (1.0,), 0.1, timing=False).splitlines()
+    d, score, psnr_db = lines[1].split(",")[3:6]
+    assert (d, score) == ("0", "1") and float(psnr_db) < PSNR_CAP_DB
+    assert heights == [2] * 6
+    assert strips == []
+
+
+def test_reference_synthesis_failure_propagates(monkeypatch, rng):
+    import contourcodec.cli as cli_mod
+
+    def broken(*args):
+        raise RuntimeError("synthetic synthesis failure")
+
+    monkeypatch.setattr(cli_mod, "approximate_stereo", rows_inverted({1.0: [(1, 3)]}))
+    monkeypatch.setattr(cli_mod, "synthesize_view", broken)
+    left, right = random_pair(rng, 40, 50)
+    with pytest.raises(RuntimeError, match="synthetic synthesis failure"):
+        run_sweep(left, right, PipelineConfig(), (0.0, 1.0), 0.1, timing=False)
+
+
+def test_sweep_of_read_only_inputs():
+    """The row proxies read the input pixels while the sweep runs; an edit
+    in place of a read-only input would raise."""
+    spec = SceneSpec(width=96, height=80, shapes=1, jitter=1, texture="noise")
+    left, right = make_synthetic_scene(4, spec)
+    expected = run_sweep(left, right, PipelineConfig(seed=4), (0.0, 4.0), spec.value_scale, timing=False)
+    frozen = [(DepthImage(d.pixels.copy()), ColorImage(c.pixels.copy())) for d, c in (left, right)]
+    for view in frozen:
+        for image in view:
+            image.pixels.setflags(write=False)
+    assert run_sweep(*frozen, PipelineConfig(seed=4), (0.0, 4.0), spec.value_scale, timing=False) == expected
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,6 +657,94 @@ class TestRowProxy:
         assert row_distortion(proxy, 2, 16, 20, 21, SwimConfig(block=16, window=10)) >= 0.0
         with pytest.raises(ValueError, match="different SwimConfig"):
             row_distortion(proxy, 2, 16, 20, 21, SwimConfig(block=8, window=10))
+
+
+class FullImageRowProxy:
+    """The former ``RowProxy``, which converted the whole image to luminance
+    when built; the reference for the row-by-row conversion."""
+
+    def __init__(self, image, cfg: SwimConfig):
+        self.lum = luminance(image)
+        self.cfg = cfg
+
+    def _check_range(self, row: int, window_start: int) -> None:
+        h, w = self.lum.shape
+        if not 0 <= row < h:
+            raise ValueError("row out of image")
+        if window_start < 0 or window_start + self.cfg.block > w:
+            raise ValueError("window out of image")
+
+    def _vector(self, row: int, window_start: int) -> list:
+        self._check_range(row, window_start)
+        w = self.lum.shape[1]
+        n, win = self.cfg.block, self.cfg.window
+        lo, hi = max(window_start - win, 0), min(window_start + win, w - n)
+        scales = laplace_fit(haar_row(sliding_window_view(self.lum[row, lo : hi + n], n)))
+        own = scales[window_start - lo]
+        return [
+            laplace_ks(own, scales[start - lo]) if lo <= start <= hi else math.inf
+            for start in range(window_start + win, window_start - win - 1, -1)
+        ]
+
+
+class TestRowProxyReadsRows:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        color=st.booleans(),
+        height=st.integers(1, 6),
+        block=st.sampled_from([2, 4, 8, 16, 32]),
+        extra=st.integers(0, 40),
+        window=st.integers(0, 12),
+        windows=st.lists(st.tuples(st.integers(-1, 6), st.integers(-2, 80)), max_size=8),
+    )
+    @settings(max_examples=80)
+    def test_vector_is_bit_equal_to_the_full_image_proxy(self, seed, color, height, block, extra, window, windows):
+        rng = np.random.default_rng(seed)
+        width = block + extra
+        pixels = rng.integers(0, 256, (height, width, 3) if color else (height, width), dtype=np.uint8)
+        image = ColorImage(pixels) if color else pixels
+        cfg = SwimConfig(block=block, window=window)
+        proxy, reference = RowProxy(image, cfg), FullImageRowProxy(image, cfg)
+        assert proxy.shape == reference.lum.shape
+        # windows at both image borders, first and last row, then any
+        for row, start in [(0, 0), (height - 1, width - block), (0, width - block), (height - 1, 0), *windows]:
+            try:
+                expected = reference._vector(row, start)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    proxy._vector(row, start)
+                continue
+            assert np.array(proxy._vector(row, start)).tobytes() == np.array(expected).tobytes()
+
+    def test_pricing_a_row_allocates_far_less_than_a_luminance_image(self):
+        """Building a proxy of a 960x1280 color image and pricing one row
+        allocates under a hundredth of one float64 luminance copy."""
+        h, w = 960, 1280
+        image = ColorImage(np.random.default_rng(0).integers(0, 256, (h, w, 3), dtype=np.uint8))
+        budget = h * w * np.dtype(np.float64).itemsize // 100
+        tracemalloc.start()
+        try:
+            costs = RowProxy(image, SwimConfig()).edge_costs(480, 640, [635, 645])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(0.0 < c < math.inf for c in costs)
+        assert peak < budget
+
+    def test_stereo_approximation_of_read_only_inputs(self):
+        """The proxies read the input pixels while the views are approximated;
+        an edit in place of a read-only input would raise."""
+        spec = SceneSpec(width=96, height=80, shapes=2, jitter=2, texture="noise")
+        left, right = make_synthetic_scene(3, spec)
+        cfg = PipelineConfig(seed=3).approx_config(2.0)
+        expected = approximate_stereo(left, right, cfg, threshold=PipelineConfig().threshold, scale=spec.value_scale)
+        for view in (left, right):
+            for image in view:
+                image.pixels.setflags(write=False)
+        result = approximate_stereo(left, right, cfg, threshold=PipelineConfig().threshold, scale=spec.value_scale)
+        for got, want in ((result.left, expected.left), (result.right, expected.right)):
+            assert (got.depth, got.color, got.contours) == (want.depth, want.color, want.contours)
+        assert result.left.contours != result.left.original_contours  # the views were edited
 
 
 class TestUpperBound:
