@@ -32,9 +32,10 @@ Rate terms are read from the coder's own context model
 edges before it, so what the DP minimizes is exactly what the coder will
 spend.
 Distortion terms come from one row proxy per contour (``swim.RowProxy``),
-which converts to luminance only the pixels of the windows it prices,
-memoizes the 2W + 1 shift distortions of each (row, window) and prices
-every shifted vertical edge.
+which converts to luminance only the pixels of the windows it prices and
+prices every shifted vertical edge.  It computes the 2W + 1 shift
+distortions of a row window once per memo, keyed by the window's pixels;
+``cli.run_sweep`` shares one memo among all the proxies of a sweep.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ from .contour import (
 from .swim import SwimConfig, row_distortion, row_proxy  # noqa: F401
 
 logger = logging.getLogger(__name__)
+
+# largest backtracking table (one byte per state and move) a segment DP may build
+DP_BUDGET_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,14 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     tie rule applies.  With the inter-view weight of the right view this
     holds whenever lambda * bits < weight.
 
-    Returns (approximated Segment, RdCost).
+    A segment whose DP would need more than ``DP_BUDGET_BYTES`` of
+    ``picks``, length x 2^K x (V + 1) bytes, raises ValueError naming K and
+    the length before any table is built.
+
+    Returns (approximated Segment, RdCost).  The DP prices its own result:
+    the total is the end state's cost, and the rate and distortion are summed
+    along the path from the DP's bits and row costs, edge by edge in the
+    order of ``segment_path_cost``, so all three equal its price bit for bit.
     """
     model = context_model(cfg.aec)
     entries, fill = model.entries, model.fill
@@ -190,6 +201,9 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
     # past 2^length are unreachable and K is capped at the length.
     k = min(cfg.aec.context_len, length)
     masks = 1 << k
+    need = length * masks * (v_count + 1)
+    if need > DP_BUDGET_BYTES:
+        raise ValueError(f"segment DP at K={k} over {length} edges ({v_count} vertical) needs {need} bytes, more than DP_BUDGET_BYTES = {DP_BUDGET_BYTES}")
     half = masks >> 1
     windows = [prior]
     bits = []
@@ -247,18 +261,29 @@ def approximate_segment(seg: Segment, prior_dirs, color, vertical_columns, cfg: 
         original = segment_path_cost(seg, seg.dirs, prior_dirs, proxy, vertical_columns, cfg)
         return seg, RdCost(math.inf, original.rate, math.inf)
 
-    dirs = []
+    path = []
     picks = picks.reshape(length, masks, v_count + 1)
     i, m = v_count, best
     for t in reversed(range(length)):
         move = m & 1
-        dirs.append(moves[move])
+        path.append(move)
         m = m >> 1 if picks[t, m, i] else m >> 1 | half
         i -= 1 - move
-    dirs.reverse()
-    result = Segment(seg.start, seg.dirpair, "".join(dirs))
-    cost = segment_path_cost(result, dirs, prior_dirs, proxy, vertical_columns, cfg)
-    return result, cost
+    path.reverse()
+    # the path's rate and distortion, in the DP's own terms: bits by (layer,
+    # window mask, move) and the row cost of vertical move i at j horizontal moves
+    path_bits = distortion = 0.0
+    i = j = m = 0
+    for t, move in enumerate(path):
+        path_bits += bits[(min(t, k) * masks + m) * 2 + move]
+        if move:
+            j += 1
+        else:
+            distortion += costs[i * (h_count + 1) + j]
+            i += 1
+        m = (m << 1 | move) & (masks - 1)
+    result = Segment(seg.start, seg.dirpair, "".join(moves[move] for move in path))
+    return result, RdCost(distortion, path_bits, float(final[best]))
 
 
 def project_onto_rectangle(a: Segment, b: Segment):

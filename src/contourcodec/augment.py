@@ -252,7 +252,7 @@ class StereoResult:
         return sum(c.distortion for c in self.left.costs + self.right.costs)
 
 
-def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, threshold: int, weight: float) -> ViewResult:
+def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, threshold: int, weight: float, memo: dict | None) -> ViewResult:
     start = time.perf_counter()
     contours = detect_contours(depth, threshold)
     detect_s = time.perf_counter() - start
@@ -260,7 +260,7 @@ def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, t
     approximated = []
     costs = []
     for c in contours:
-        ac, cost = approximate_contour(c, RowProxy(out_c, cfg.swim, weight), cfg)
+        ac, cost = approximate_contour(c, RowProxy(out_c, cfg.swim, weight, memo), cfg)
         if ac != c:
             out_d, flips, side = augment_depth(out_d, c, ac)
             out_c = augment_color(out_c, flips, side)
@@ -269,7 +269,7 @@ def _approximate_view(depth: DepthImage, color: ColorImage, cfg: ApproxConfig, t
     return ViewResult(out_d, out_c, contours, approximated, costs, detect_s)
 
 
-def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int, scale: float) -> StereoResult:
+def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int, scale: float, memo: dict | None = None) -> StereoResult:
     """Approximate both views consistently.
 
     The left view is approximated and augmented first; its augmented pair is
@@ -277,14 +277,15 @@ def approximate_stereo(left, right, cfg: ApproxConfig, *, threshold: int, scale:
     the projection disagrees with it, and the right view is then approximated
     with ``cfg.interview_weight`` * shift^2 added to the cost of every
     vertical edge it shifts, whether or not the projection placed that edge.
+    Every contour's ``RowProxy`` shares ``memo`` when one is given.
     """
     _check_sizes(left, right)
-    lres = _approximate_view(left[0], left[1], cfg, threshold, 0.0)
+    lres = _approximate_view(left[0], left[1], cfg, threshold, 0.0, memo)
 
     proj_d, proj_c, proj_valid = _warp(lres.depth, lres.color, 1.0, -1, scale)
     rdep, rcol = right
     changed = proj_valid & (proj_d != rdep.pixels)
     new_d = np.where(changed, proj_d, rdep.pixels)
     new_c = np.where(np.repeat(changed, 3).reshape(proj_c.shape), proj_c, rcol.pixels)  # per sample, as in synthesize_view
-    rres = _approximate_view(DepthImage(new_d), ColorImage(new_c), cfg, threshold, cfg.interview_weight)
+    rres = _approximate_view(DepthImage(new_d), ColorImage(new_c), cfg, threshold, cfg.interview_weight, memo)
     return StereoResult(lres, rres)

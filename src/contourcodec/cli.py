@@ -177,10 +177,13 @@ def _failed_line(lam, exc) -> str:
 def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: bool = True):
     """One CSV line per lambda; a failed stage aborts only its own row.
 
-    Every lambda is approximated and coded first.  The references, the input
-    pair's views, are then synthesized once, only in the block rows that some
-    pair changes and in the changed rows below the last whole block row;
-    their other rows stay 0, and there every view equals its reference.
+    Every lambda is approximated and coded first, the row proxies of every
+    lambda, view and contour sharing one ``RowProxy`` memo that lives for
+    this call: a row window whose pixels an earlier lambda priced is read
+    from it, not priced again.  The references, the input pair's views, are
+    then synthesized once, only in the block rows that some pair changes
+    and in the changed rows below the last whole block row; their other
+    rows stay 0, and there every view equals its reference.
     Rows whose modified pairs are equal, image for image, share one
     (d, PSNR) score, found by ``==`` in a list that the input pair starts.
     A view scored against itself gives d = 0 and the PSNR cap, unless it
@@ -190,11 +193,12 @@ def run_sweep(left, right, cfg: PipelineConfig, lambdas, scale: float, timing: b
     this and the scoring."""
     _check_sizes(left, right)
     inputs = (*left, *right)
+    memo = {}
     coded = []  # per lambda: (stereo, bits, pair, its changed rows, dp and code times), or its failed CSV line
     for lam in lambdas:
         try:
             t0 = time.perf_counter()
-            stereo = approximate_stereo(left, right, cfg.approx_config(lam), threshold=cfg.threshold, scale=scale)
+            stereo = approximate_stereo(left, right, cfg.approx_config(lam), threshold=cfg.threshold, scale=scale, memo=memo)
             t1 = time.perf_counter()
             bits = 8 * (
                 len(aec.encode(stereo.left.contours, cfg.aec_params()))

@@ -222,8 +222,15 @@ class RowProxy:
 
     The proxy keeps the image and converts to luminance only the pixels that
     a window's 2W + 1 shifts compare, when that window is first priced; the
-    distortions of those shifts are computed together and memoized by
-    (row, window start).
+    distortions of those shifts are computed together.  ``memo`` maps a
+    window's input to that list of 2W + 1 distortions, keyed by block,
+    window, the window's offset in its span (the in-image pixels of its
+    shifts), the span's shape and dtype and its pixel bytes; so proxies of
+    different images, views or weights that share a memo price every window
+    of equal pixels once.  Whoever passes ``memo`` owns it (``run_sweep``
+    keeps one per sweep); without one a proxy makes its own.  In front of it
+    each proxy keeps its own dict by (row, window start), so a window is
+    sliced and hashed once per proxy.
     ``edge_costs`` is the optimizer's one price of a shifted vertical edge:
     its distortion plus ``weight`` * shift^2, the inter-view penalty of the
     dependent (right) view, 0 on the left view.  ``weight`` must be finite
@@ -232,13 +239,14 @@ class RowProxy:
     (height, width).
     """
 
-    def __init__(self, image, cfg: SwimConfig, weight: float = 0.0):
+    def __init__(self, image, cfg: SwimConfig, weight: float = 0.0, memo: dict | None = None):
         if not 0 <= weight < math.inf:
             raise ValueError("weight must be finite and >= 0")
         self.pixels = np.asarray(image.pixels if isinstance(image, ColorImage) else image)
         self.shape = self.pixels.shape[:2]
         self.cfg = cfg
         self.weight = weight
+        self.memo = {} if memo is None else memo
         self._shifts = {}
 
     def _check_range(self, row: int, window_start: int) -> None:
@@ -259,14 +267,18 @@ class RowProxy:
             n, win = self.cfg.block, self.cfg.window
             # one haar_row pass and one fit over the in-image windows start - W .. start + W
             lo, hi = max(window_start - win, 0), min(window_start + win, w - n)
-            lum = luminance(self.pixels[row : row + 1, lo : hi + n])[0]
-            scales = laplace_fit(haar_row(sliding_window_view(lum, n)))
-            own = scales[window_start - lo]
-            # shifting the edge by s compares against the window at start - s
-            out = self._shifts[key] = [
-                laplace_ks(own, scales[start - lo]) if lo <= start <= hi else math.inf
-                for start in range(window_start + win, window_start - win - 1, -1)
-            ]
+            span = self.pixels[row : row + 1, lo : hi + n]
+            window = (n, win, window_start - lo, span.shape, span.dtype, span.tobytes())
+            out = self.memo.get(window)
+            if out is None:
+                scales = laplace_fit(haar_row(sliding_window_view(luminance(span)[0], n)))
+                own = scales[window_start - lo]
+                # shifting the edge by s compares against the window at start - s
+                out = self.memo[window] = [
+                    laplace_ks(own, scales[start - lo]) if lo <= start <= hi else math.inf
+                    for start in range(window_start + win, window_start - win - 1, -1)
+                ]
+            self._shifts[key] = out
         return out
 
     def edge_costs(self, row: int, q_orig: int, columns) -> list:

@@ -332,6 +332,55 @@ class TestPriorWindow:
         assert peak < 16 << 20
 
 
+class TestDpBudget:
+    """A segment DP whose ``picks`` table, length x 2^K x (V + 1) bytes,
+    would pass ``DP_BUDGET_BYTES`` is refused before any table is built."""
+
+    def test_k16_on_a_300_edge_segment_raises_before_allocating(self, monkeypatch):
+        # 300 x 2^16 x 151 bytes is 3.0 GB
+        color = textured_color(np.random.default_rng(5), 200, 200)
+        seg = Segment((20, 20), ("S", "E"), "SE" * 150)
+        cols = segment_vertical_columns(seg)
+        cfg = ApproxConfig(lagrange=1.0, aec=AecParams(context_len=16), swim=SwimConfig(block=8, window=4))
+        proxy = RowProxy(color, cfg.swim)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"K=16 over 300 edges \(150 vertical\)"):
+                approximate_segment(seg, (), proxy, cols, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # merge_segments refuses the merge of the segment's two halves
+        errors = []
+
+        def recorded(*args, **kwargs):
+            try:
+                return approximate_segment(*args, **kwargs)
+            except ValueError as exc:
+                errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(approx, "approximate_segment", recorded)
+        a, b = Segment((20, 20), ("S", "E"), "SE" * 75), Segment((95, 95), ("S", "E"), "SE" * 75)
+        costs = dict(cost_a=RdCost(0.0, 0.0, 1.0), cost_b=RdCost(0.0, 0.0, 1.0))
+        assert merge_segments(a, b, (), proxy, cfg, **costs) is None
+        assert len(errors) == 1 and "K=16 over 300 edges" in errors[0]
+
+    def test_a_dp_at_the_budget_runs(self, rng, monkeypatch):
+        color = textured_color(rng, 40, 48)
+        seg = Segment((16, 20), ("S", "E"), "SESSEE")
+        cols = segment_vertical_columns(seg)
+        cfg = small_cfg(1.0)
+        expected = approximate_segment(seg, (), color, cols, cfg)
+        need = seg.length * 2 ** cfg.aec.context_len * (seg.vertical_count + 1)
+        monkeypatch.setattr(approx, "DP_BUDGET_BYTES", need)
+        assert approximate_segment(seg, (), color, cols, cfg) == expected
+        monkeypatch.setattr(approx, "DP_BUDGET_BYTES", need - 1)
+        with pytest.raises(ValueError, match="K=3 over 6 edges"):
+            approximate_segment(seg, (), color, cols, cfg)
+
+
 class TestApproximateSegment:
     def test_zero_lambda_zero_distortion(self, rng):
         color = textured_color(rng, 40, 48)

@@ -684,8 +684,8 @@ class TestApproximateStereo:
         weights = []
 
         class RecordingProxy(augment.RowProxy):
-            def __init__(self, image, cfg, weight=0.0):
-                super().__init__(image, cfg, weight)
+            def __init__(self, image, cfg, weight=0.0, memo=None):
+                super().__init__(image, cfg, weight, memo)
                 weights.append(weight)
 
         monkeypatch.setattr(augment, "RowProxy", RecordingProxy)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import textured_color
+from contourcodec import swim
 from contourcodec.augment import approximate_stereo, synthesize_view
+from contourcodec.cli import run_sweep
 from contourcodec.config import PipelineConfig
 from contourcodec.image_io import ColorImage, SceneSpec, make_synthetic_scene
 from contourcodec.swim import (
@@ -28,6 +31,8 @@ from contourcodec.swim import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+README_SWEEP = Path(__file__).with_name("data") / "sweep_readme.csv"
 
 
 def best_match(synth_lum: np.ndarray, ref_lum: np.ndarray, row: int, col: int, cfg: SwimConfig):
@@ -745,6 +750,63 @@ class TestRowProxyReadsRows:
         for got, want in ((result.left, expected.left), (result.right, expected.right)):
             assert (got.depth, got.color, got.contours) == (want.depth, want.color, want.contours)
         assert result.left.contours != result.left.original_contours  # the views were edited
+
+
+class TestSharedMemo:
+    """Proxies that share a memo price each window of equal input once, and
+    every window they price equals the full-image reference's."""
+
+    # at window start 0 both configs compare the 12-pixel span at offset 0:
+    # a memo keyed without block and window would mix them up
+    CONFIGS = (SwimConfig(block=8, window=4), SwimConfig(block=4, window=8))
+
+    def test_two_images_and_two_configs_share_one_memo(self):
+        rng = np.random.default_rng(7)
+        first = rng.integers(0, 256, (6, 40, 3), dtype=np.uint8)
+        second = first.copy()
+        second[[1, 4]] = rng.integers(0, 256, (2, 40, 3), dtype=np.uint8)
+        memo = {}
+        distinct = set()
+        for pixels, weight in ((first, 0.0), (second, 1e6)):
+            for cfg in self.CONFIGS:
+                proxy = RowProxy(ColorImage(pixels), cfg, weight, memo)
+                reference = FullImageRowProxy(ColorImage(pixels), cfg)
+                for row in range(6):
+                    for start in range(40 - cfg.block + 1):
+                        assert np.array(proxy._vector(row, start)).tobytes() == np.array(reference._vector(row, start)).tobytes()
+                        distinct.add((cfg.block, cfg.window, start, pixels[row].tobytes()))
+        windows = sum(40 - cfg.block + 1 for cfg in self.CONFIGS)  # of one row, both configs
+        # the six rows of the first image, then only the two new rows of the second
+        assert len(memo) == len(distinct) == (6 + 2) * windows
+
+    def test_a_proxy_without_a_memo_makes_its_own(self, rng):
+        image = textured_color(rng, 8, 32)
+        cfg = SwimConfig(block=8, window=4)
+        one, other = RowProxy(image, cfg), RowProxy(image, cfg)
+        assert one.memo is not other.memo
+        one.edge_costs(2, 12, [11, 13])
+        assert len(one.memo) == 1 and other.memo == {}
+
+    def test_readme_sweep_prices_each_distinct_window_once(self, monkeypatch):
+        """The README sweep (lambda 0, 2, 8) prices 390 row windows, proxy
+        by proxy; 134 of them are distinct, and the sweep's one memo computes
+        only those.  The memo lives for one call: a second sweep computes
+        the 134 again."""
+        fits = []
+        fit = swim.laplace_fit
+        monkeypatch.setattr(swim, "laplace_fit", lambda coeffs: fits.append(1) or fit(coeffs))
+        spec = SceneSpec(width=128, height=96, jitter=2, texture="noise")
+        left, right = make_synthetic_scene(2, spec)
+        config = PipelineConfig(seed=2)
+        for _ in range(2):
+            fits.clear()
+            csv = run_sweep(left, right, config, (0.0, 2.0, 8.0), spec.value_scale, timing=False)
+            assert len(fits) == 134
+            assert csv.encode() == README_SWEEP.read_bytes()
+        fits.clear()
+        for lam in (0.0, 2.0, 8.0):
+            approximate_stereo(left, right, config.approx_config(lam), threshold=config.threshold, scale=spec.value_scale)
+        assert len(fits) == 390
 
 
 class TestUpperBound:
